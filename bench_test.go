@@ -460,6 +460,24 @@ func BenchmarkOutsourceFp1000(b *testing.B) { benchmarkOutsourceFp(b, false) }
 // the packed parallel path.
 func BenchmarkOutsourceFp1000Sequential(b *testing.B) { benchmarkOutsourceFp(b, true) }
 
+// BenchmarkPadRegen257 is one seed-only pad regeneration on F_257: the
+// node's keystream derivation plus sampling of its 256-coefficient pad —
+// the unit of work behind every split node and every client pad-cache
+// miss.
+func BenchmarkPadRegen257(b *testing.B) {
+	fp := ring.MustFp(257)
+	d := drbg.NewDeriver(drbg.Seed(sha256.Sum256([]byte("pad-regen"))), sharing.ShareLabel)
+	key := drbg.NodeKey{0, 2, 1}
+	vec := make([]uint64, fp.DegreeBound())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := fp.RandPacked(d.ForNode(key), vec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- k-of-n combine benchmarks -----------------------------------------------
 
 func benchmarkMultiCombine(b *testing.B, bigCombine bool) {

@@ -136,13 +136,13 @@
 //
 //   - Pad cache (per session): every SeedClient keeps a bounded LRU of
 //     packed share pads, so hot nodes (the root levels every query
-//     walks) are not re-derived from the HMAC-DRBG on each visit
+//     walks) are not re-derived from their AES-CTR keystream on each visit
 //     (sharing.SeedClient.SetShareCacheNodes; padHit/padMiss counters).
 //   - Shared pad cache (per ClientKey): sessions opened from one
 //     ClientKey attach to one sharing.SharedPadCache by default, so N
 //     concurrent sessions of one key pay each pad regeneration once, not
 //     N times. Concurrent misses on one node are collapsed singleflight:
-//     one session runs the DRBG, the rest piggyback on the in-flight
+//     one session regenerates the pad, the rest piggyback on the in-flight
 //     result (sharedHit/sharedMiss/sharedFlight counters).
 //     ClientKey.SetSharedCache(false) opts out; answers are
 //     byte-identical either way.
@@ -213,7 +213,7 @@
 // drawn straight into packed form and subtracted in one word pass, and
 // both tree walks run on a bounded worker pool (Config.Parallelism; the
 // result is byte-identical at every setting because every node's pad
-// derives from its own path-keyed DRBG stream). The share tree keeps the
+// derives from its own path-keyed AES-CTR keystream). The share tree keeps the
 // packed vectors and materializes big.Int polynomials only on demand
 // (marshalling, polynomial fetches). sharing.SplitSequential is the
 // retained sequential big.Int-boundary reference, differentially tested
@@ -267,7 +267,7 @@
 // sharing.MultiSplit's k-of-n Shamir share generation runs on the same
 // packed engine and the same bounded worker pool as Split: one 32-byte
 // mask seed is drawn from the caller's rng up front, every node's mask
-// coefficients then derive from that node's own path-keyed DRBG stream,
+// coefficients then derive from that node's own path-keyed keystream,
 // and the n share polynomials are built in one vectorized pass per node
 // (precomputed evaluation-point powers via ScalarMulAddVec). The
 // determinism contract matches Split's: MultiSplitWithOpts is
@@ -372,7 +372,7 @@
 //     (server.Daemon.WriteStall) is disconnected as a slow consumer
 //     rather than pinning buffers forever.
 //   - Zero-downtime store reload (Daemon.SwapStore, sss-server -reload
-//     + SIGHUP): atomically replace the served share store behind an
+//     plus SIGHUP): atomically replace the served share store behind an
 //     epoch counter. In-flight requests finish on the store they
 //     started on; the replacement must announce byte-identical ring
 //     parameters or it is refused. Whole-tree daemons only — shard

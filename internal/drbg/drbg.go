@@ -1,23 +1,34 @@
-// Package drbg provides a deterministic random bit generator (HMAC-SHA256,
-// after NIST SP 800-90A's HMAC_DRBG construction) with hierarchical,
-// path-keyed derivation.
+// Package drbg derives the scheme's deterministic pseudo-random streams
+// from the client's seed: one AES-256-CTR keystream per tree node.
 //
 // The scheme's client keeps only a 32-byte seed (§4.2 of the paper: "store
 // only the random seed with which the random polynomials were generated").
 // Derivation by node path lets the client regenerate the share of any single
 // tree node in O(path length) work, without materialising the whole tree and
 // without any per-node state.
+//
+// Construction. For seed s, domain-separation label L and node path
+// (c_1, …, c_m), the node key is
+//
+//	K = HMAC-SHA256(s, L ‖ 0x00 ‖ uvarint(m) ‖ uvarint(c_1) ‖ … ‖ uvarint(c_m))
+//
+// and the node's stream is the AES-256-CTR keystream under K with an
+// all-zero IV. The path encoding is unambiguous, so every (label, path)
+// pair gets its own key and no (key, counter) block ever repeats across
+// nodes; the fixed IV is safe because no key is used for two streams. A
+// keystream does not depend on how it is read: any split of the reads
+// yields the same bytes.
 package drbg
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"strconv"
 	"strings"
@@ -60,73 +71,6 @@ func SeedFromString(h string) (Seed, error) {
 // String returns the hex encoding of the seed.
 func (s Seed) String() string { return hex.EncodeToString(s[:]) }
 
-// Generator is a deterministic stream of pseudo-random bytes. It implements
-// io.Reader. A Generator is NOT safe for concurrent use; derive independent
-// generators per goroutine instead.
-type Generator struct {
-	k [sha256.Size]byte
-	v [sha256.Size]byte
-	// mac is the HMAC keyed with k, reused (via Reset) across the many
-	// v = HMAC(k, v) chain steps of a bulk Read: rebuilding the keyed
-	// state per block used to dominate share-pad generation. Lazily
-	// rebuilt whenever k changes. The output stream is bit-identical to
-	// the one-HMAC-per-call construction.
-	mac hash.Hash
-}
-
-// New instantiates a generator from seed and an optional personalization
-// string (domain separation between independent uses of the same seed).
-func New(seed Seed, personalization []byte) *Generator {
-	g := &Generator{}
-	for i := range g.v {
-		g.v[i] = 0x01
-	}
-	// k starts all zero.
-	g.update(append(seed[:], personalization...))
-	return g
-}
-
-func (g *Generator) hmacK(parts ...[]byte) [sha256.Size]byte {
-	if g.mac == nil {
-		g.mac = hmac.New(sha256.New, g.k[:])
-	}
-	m := g.mac
-	m.Reset()
-	for _, p := range parts {
-		m.Write(p)
-	}
-	var out [sha256.Size]byte
-	m.Sum(out[:0])
-	return out
-}
-
-// update is the HMAC_DRBG state-update function.
-func (g *Generator) update(data []byte) {
-	g.k = g.hmacK(g.v[:], []byte{0x00}, data)
-	g.mac = nil // k changed: rebuild the keyed state on next use
-	g.v = g.hmacK(g.v[:])
-	if len(data) == 0 {
-		return
-	}
-	g.k = g.hmacK(g.v[:], []byte{0x01}, data)
-	g.mac = nil
-	g.v = g.hmacK(g.v[:])
-}
-
-// Read fills p with deterministic pseudo-random bytes. It never fails.
-func (g *Generator) Read(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		g.v = g.hmacK(g.v[:])
-		c := copy(p, g.v[:])
-		p = p[c:]
-	}
-	g.update(nil)
-	return n, nil
-}
-
-var _ io.Reader = (*Generator)(nil)
-
 // NodeKey identifies a tree node by its path of child indices from the
 // root (the root itself is the empty path).
 type NodeKey []uint32
@@ -144,7 +88,23 @@ func (k NodeKey) String() string {
 	return sb.String()
 }
 
-// Deriver produces independent per-node generators from one seed. It is
+// Stream is one node's keystream. It implements io.Reader and never
+// fails. A Stream is NOT safe for concurrent use; derive one per
+// goroutine instead.
+type Stream struct {
+	ctr cipher.Stream
+}
+
+// Read fills p with the next len(p) keystream bytes.
+func (s *Stream) Read(p []byte) (int, error) {
+	clear(p)
+	s.ctr.XORKeyStream(p, p)
+	return len(p), nil
+}
+
+var _ io.Reader = (*Stream)(nil)
+
+// Deriver produces independent per-node streams from one seed. It is
 // safe for concurrent use (each call builds fresh state).
 type Deriver struct {
 	seed  Seed
@@ -152,15 +112,15 @@ type Deriver struct {
 }
 
 // NewDeriver builds a Deriver with a domain-separation label (e.g.
-// "sss/client-share/v1").
+// "sss/client-share/v3").
 func NewDeriver(seed Seed, label string) *Deriver {
 	return &Deriver{seed: seed, label: []byte(label)}
 }
 
-// ForNode returns a fresh deterministic generator for a node path. Distinct
+// ForNode returns a fresh deterministic stream for a node path. Distinct
 // paths yield computationally independent streams; the same path always
 // yields the identical stream.
-func (d *Deriver) ForNode(key NodeKey) *Generator {
+func (d *Deriver) ForNode(key NodeKey) *Stream {
 	// Unambiguous path encoding: varint length, then varint components.
 	enc := make([]byte, 0, 8+len(key)*5+len(d.label))
 	enc = append(enc, d.label...)
@@ -169,7 +129,15 @@ func (d *Deriver) ForNode(key NodeKey) *Generator {
 	for _, c := range key {
 		enc = binary.AppendUvarint(enc, uint64(c))
 	}
-	return New(d.seed, enc)
+	mac := hmac.New(sha256.New, d.seed[:])
+	mac.Write(enc)
+	var k [sha256.Size]byte
+	block, err := aes.NewCipher(mac.Sum(k[:0]))
+	if err != nil {
+		panic(err) // unreachable: a SHA-256 digest is a valid AES-256 key
+	}
+	var iv [aes.BlockSize]byte
+	return &Stream{ctr: cipher.NewCTR(block, iv[:])}
 }
 
 // Child extends a node key by one step. The receiver is not modified.
@@ -179,6 +147,3 @@ func (k NodeKey) Child(i uint32) NodeKey {
 	out[len(k)] = i
 	return out
 }
-
-// ErrShortSeed reports malformed seed material.
-var ErrShortSeed = errors.New("drbg: short seed")

@@ -2,7 +2,11 @@ package drbg
 
 import (
 	"bytes"
+	"encoding/hex"
+	"io"
 	"testing"
+
+	"sssearch/internal/fastfield"
 )
 
 func testSeed(b byte) Seed {
@@ -13,73 +17,108 @@ func testSeed(b byte) Seed {
 	return s
 }
 
+// read draws n bytes from the stream of path k.
+func read(d *Deriver, k NodeKey, n int) []byte {
+	buf := make([]byte, n)
+	d.ForNode(k).Read(buf)
+	return buf
+}
+
+// TestKnownAnswer pins the construction: seed 00 01 … 1f, label
+// "sss/kat/v1", path /0/2/1. The expected bytes were computed outside Go:
+// the key is HMAC-SHA256(seed, "sss/kat/v1" ‖ 00 ‖ 03 00 02 01) =
+// 10e1a0c9…6c478366, and the stream is AES-256-CTR under it with a zero
+// IV. The pad coefficients are the first 8 accepted 9-bit samples
+// (big-endian 2-byte draws masked to 0x1ff, rejecting ≥ 257).
+func TestKnownAnswer(t *testing.T) {
+	var seed Seed
+	for i := range seed {
+		seed[i] = byte(i)
+	}
+	d := NewDeriver(seed, "sss/kat/v1")
+	key := NodeKey{0, 2, 1}
+
+	const wantHex = "b234789936abeb32dc765d4d1a361fa0e81c58b66623cb8d72deaf750ce5b2c7"
+	if got := hex.EncodeToString(read(d, key, 32)); got != wantHex {
+		t.Fatalf("keystream = %s, want %s", got, wantHex)
+	}
+
+	f, err := fastfield.New(257)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := make([]uint64, 8)
+	if err := f.RandVec(d.ForNode(key), pad); err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{52, 153, 171, 118, 54, 28, 182, 35}
+	for i := range want {
+		if pad[i] != want[i] {
+			t.Fatalf("F_257 pad = %v, want %v", pad, want)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
-	g1 := New(testSeed(7), []byte("ctx"))
-	g2 := New(testSeed(7), []byte("ctx"))
-	a := make([]byte, 1000)
-	b := make([]byte, 1000)
-	if _, err := g1.Read(a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g2.Read(b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
+	d := NewDeriver(testSeed(7), "ctx")
+	if !bytes.Equal(read(d, NodeKey{3}, 1000), read(NewDeriver(testSeed(7), "ctx"), NodeKey{3}, 1000)) {
 		t.Fatal("identical seeds produced different streams")
 	}
 }
 
 func TestSeedSeparation(t *testing.T) {
-	a := make([]byte, 64)
-	b := make([]byte, 64)
-	New(testSeed(1), nil).Read(a)
-	New(testSeed(2), nil).Read(b)
-	if bytes.Equal(a, b) {
+	a := read(NewDeriver(testSeed(1), ""), nil, 64)
+	if bytes.Equal(a, read(NewDeriver(testSeed(2), ""), nil, 64)) {
 		t.Fatal("different seeds produced identical streams")
 	}
-	New(testSeed(1), []byte("x")).Read(b)
-	if bytes.Equal(a, b) {
-		t.Fatal("different personalization produced identical streams")
+	if bytes.Equal(a, read(NewDeriver(testSeed(1), "x"), nil, 64)) {
+		t.Fatal("different labels produced identical streams")
 	}
 }
 
+// TestChunkingInvariance: a keystream is the same bytes however the
+// reads split it — the property that lets the bulk sampler and
+// per-coefficient draws read identical pads from one node stream.
 func TestChunkingInvariance(t *testing.T) {
-	// HMAC_DRBG regenerates per Read call, so identical *sequences of read
-	// sizes* must match; a single big read defines the canonical stream.
-	g1 := New(testSeed(3), nil)
-	g2 := New(testSeed(3), nil)
-	one := make([]byte, 96)
-	g1.Read(one)
-	parts := make([]byte, 0, 96)
-	for i := 0; i < 3; i++ {
-		buf := make([]byte, 32)
-		g2.Read(buf)
-		parts = append(parts, buf...)
+	d := NewDeriver(testSeed(3), "chunk")
+	key := NodeKey{4, 1}
+	one := read(d, key, 1000)
+	for _, sizes := range [][]int{
+		{1000},
+		{1, 999},
+		{15, 1, 16, 17, 951},
+		{2, 2, 2, 2, 992},
+		{512, 0, 488},
+		{333, 333, 334},
+	} {
+		s := d.ForNode(key)
+		var parts []byte
+		for _, n := range sizes {
+			buf := make([]byte, n)
+			if _, err := s.Read(buf); err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, buf...)
+		}
+		if !bytes.Equal(one, parts) {
+			t.Fatalf("reads %v differ from one read of %d bytes", sizes, len(one))
+		}
 	}
-	// Reads of 32+32+32 vs 96 differ by design (update between reads), but
-	// each must be self-consistent:
-	g3 := New(testSeed(3), nil)
-	again := make([]byte, 96)
-	g3.Read(again)
-	if !bytes.Equal(one, again) {
-		t.Fatal("same-read-pattern streams differ")
+	// io.ReadFull over byte-at-a-time reads, the shape of field.Rand.
+	s := d.ForNode(key)
+	byByte := make([]byte, len(one))
+	for i := range byByte {
+		if _, err := io.ReadFull(s, byByte[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	g4 := New(testSeed(3), nil)
-	parts2 := make([]byte, 0, 96)
-	for i := 0; i < 3; i++ {
-		buf := make([]byte, 32)
-		g4.Read(buf)
-		parts2 = append(parts2, buf...)
-	}
-	if !bytes.Equal(parts, parts2) {
-		t.Fatal("same chunked-read pattern differs")
+	if !bytes.Equal(one, byByte) {
+		t.Fatal("byte-at-a-time reads differ from one bulk read")
 	}
 }
 
 func TestStreamLooksBalanced(t *testing.T) {
-	g := New(testSeed(9), nil)
-	buf := make([]byte, 1<<16)
-	g.Read(buf)
+	buf := read(NewDeriver(testSeed(9), "bal"), NodeKey{}, 1<<16)
 	ones := 0
 	for _, b := range buf {
 		for i := 0; i < 8; i++ {
@@ -122,24 +161,16 @@ func TestDeriverNodeIndependence(t *testing.T) {
 	k2 := root.Child(1)
 	k11 := k1.Child(0)
 
-	read := func(k NodeKey) []byte {
-		buf := make([]byte, 48)
-		d.ForNode(k).Read(buf)
-		return buf
-	}
-	a, b, c, r := read(k1), read(k2), read(k11), read(root)
+	a, b, c, r := read(d, k1, 48), read(d, k2, 48), read(d, k11, 48), read(d, root, 48)
 	if bytes.Equal(a, b) || bytes.Equal(a, c) || bytes.Equal(a, r) || bytes.Equal(b, c) {
 		t.Fatal("node streams not independent")
 	}
 	// Regeneration: same path, same stream — the seed-only client property.
-	if !bytes.Equal(a, read(k1)) {
+	if !bytes.Equal(a, read(d, k1, 48)) {
 		t.Fatal("node stream not reproducible")
 	}
 	// Different label ⇒ different stream.
-	d2 := NewDeriver(testSeed(5), "test/v2")
-	buf := make([]byte, 48)
-	d2.ForNode(k1).Read(buf)
-	if bytes.Equal(a, buf) {
+	if bytes.Equal(a, read(NewDeriver(testSeed(5), "test/v2"), k1, 48)) {
 		t.Fatal("label not separating domains")
 	}
 }
@@ -155,11 +186,7 @@ func TestNodeKeyEncodingUnambiguous(t *testing.T) {
 		{NodeKey{256}, NodeKey{1, 128}},
 	}
 	for _, p := range pairs {
-		a := make([]byte, 32)
-		b := make([]byte, 32)
-		d.ForNode(p[0]).Read(a)
-		d.ForNode(p[1]).Read(b)
-		if bytes.Equal(a, b) {
+		if bytes.Equal(read(d, p[0], 32), read(d, p[1], 32)) {
 			t.Errorf("paths %v and %v collide", p[0], p[1])
 		}
 	}
@@ -183,12 +210,12 @@ func TestNodeKeyString(t *testing.T) {
 	}
 }
 
-func BenchmarkRead32(b *testing.B) {
-	g := New(testSeed(1), nil)
-	buf := make([]byte, 32)
-	b.SetBytes(32)
+func BenchmarkRead1K(b *testing.B) {
+	s := NewDeriver(testSeed(1), "bench").ForNode(nil)
+	buf := make([]byte, 1024)
+	b.SetBytes(int64(len(buf)))
 	for i := 0; i < b.N; i++ {
-		g.Read(buf)
+		s.Read(buf)
 	}
 }
 
@@ -196,6 +223,7 @@ func BenchmarkForNodeDepth10(b *testing.B) {
 	d := NewDeriver(testSeed(1), "bench")
 	k := NodeKey{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	buf := make([]byte, 32)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.ForNode(k).Read(buf)
 	}

@@ -33,6 +33,7 @@
 package fastfield
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -57,10 +58,10 @@ type Field struct {
 	one  uint64 // 2^64 mod p: the Montgomery form of 1
 
 	// Rejection-sampling shape, mirroring field.(*Field).Rand: draw
-	// sampleBytes big-endian bytes, mask the top byte to the modulus bit
+	// sampleBytes big-endian bytes, mask the value to the modulus bit
 	// length, reject values >= p.
 	sampleBytes int
-	sampleMask  byte
+	sampleMask  uint64
 }
 
 // New precomputes the Montgomery constants for modulus p. It returns
@@ -85,15 +86,13 @@ func New(p uint64) (*Field, error) {
 	_, r2 := bits.Div64(hi, lo, p)
 
 	nbits := bits.Len64(p)
-	nbytes := (nbits + 7) / 8
-	excess := uint(nbytes*8 - nbits)
 	return &Field{
 		p:           p,
 		pInv:        pInv,
 		r2:          r2,
 		one:         one,
-		sampleBytes: nbytes,
-		sampleMask:  byte(0xff >> excess),
+		sampleBytes: (nbits + 7) / 8,
+		sampleMask:  1<<nbits - 1,
 	}, nil
 }
 
@@ -307,51 +306,56 @@ func (f *Field) EvalMany(coeffs []uint64, xsMont []uint64, dst []uint64) {
 }
 
 // RandVec fills dst with independent uniform elements of [0, p), reading
-// entropy (or DRBG output) from r. The per-element distribution is the
-// same bit-masked rejection sampling as field.(*Field).Rand, but the
-// stream is consumed in bulk reads rather than one tiny read per draw —
-// the dominant cost of seed-only share regeneration.
+// entropy (or keystream) from r. The per-element distribution is the same
+// bit-masked rejection sampling as field.(*Field).Rand — no modular bias
+// — but the stream is consumed in bulk reads rather than one tiny read
+// per draw: one read of a sample per element, then refills of at most 64
+// samples for the rejected ones; the unused tail of the last refill is
+// discarded.
 func (f *Field) RandVec(r io.Reader, dst []uint64) error {
 	if len(dst) == 0 {
 		return nil
 	}
-	// First bulk read: one sample per element, the common case. Rejected
-	// samples (p just above a power of two rejects up to half the draws)
-	// refill from chunked reads.
 	buf := make([]byte, len(dst)*f.sampleBytes)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return fmt.Errorf("fastfield: rand: %w", err)
-	}
-	refill := func() error {
-		n := 64 * f.sampleBytes
-		if want := len(dst) * f.sampleBytes; n > want {
-			n = want
-		}
-		buf = buf[:n]
+	refill := min(64, len(dst)) * f.sampleBytes
+	for n := 0; ; {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return fmt.Errorf("fastfield: rand: %w", err)
 		}
-		return nil
+		if n = f.sample(dst, n, buf); n == len(dst) {
+			return nil
+		}
+		buf = buf[:refill]
 	}
-	off := 0
-	for i := range dst {
-		for {
-			if off+f.sampleBytes > len(buf) {
-				if err := refill(); err != nil {
-					return err
-				}
-				off = 0
-			}
-			v := uint64(buf[off] & f.sampleMask)
-			for _, b := range buf[off+1 : off+f.sampleBytes] {
-				v = v<<8 | uint64(b)
-			}
-			off += f.sampleBytes
-			if v < f.p {
-				dst[i] = v
-				break
+}
+
+// sample runs the rejection step over the samples in buf, filling dst
+// from index n; it returns the new fill count and stops early once dst is
+// full. A rejected value is written and then overwritten by the next
+// draw, which keeps the loop branch-light.
+func (f *Field) sample(dst []uint64, n int, buf []byte) int {
+	p, mask := f.p, f.sampleMask
+	if f.sampleBytes == 2 {
+		for i := 0; i+1 < len(buf) && n < len(dst); i += 2 {
+			v := uint64(binary.BigEndian.Uint16(buf[i:])) & mask
+			dst[n] = v
+			if v < p {
+				n++
 			}
 		}
+		return n
 	}
-	return nil
+	sb := f.sampleBytes
+	for i := 0; i+sb <= len(buf) && n < len(dst); i += sb {
+		var v uint64
+		for _, b := range buf[i : i+sb] {
+			v = v<<8 | uint64(b)
+		}
+		v &= mask
+		dst[n] = v
+		if v < p {
+			n++
+		}
+	}
+	return n
 }

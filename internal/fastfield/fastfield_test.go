@@ -210,7 +210,7 @@ func TestRandVecDistribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := drbg.Seed(sha256.Sum256([]byte("randvec")))
-	g := drbg.New(seed, []byte("dist"))
+	g := drbg.NewDeriver(seed, "dist").ForNode(drbg.NodeKey{})
 	dst := make([]uint64, 20000)
 	if err := f.RandVec(g, dst); err != nil {
 		t.Fatal(err)
@@ -241,10 +241,11 @@ func TestRandVecDeterministic(t *testing.T) {
 	seed := drbg.Seed(sha256.Sum256([]byte("det")))
 	a := make([]uint64, 100)
 	b := make([]uint64, 100)
-	if err := f.RandVec(drbg.New(seed, []byte("x")), a); err != nil {
+	d := drbg.NewDeriver(seed, "x")
+	if err := f.RandVec(d.ForNode(drbg.NodeKey{}), a); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.RandVec(drbg.New(seed, []byte("x")), b); err != nil {
+	if err := f.RandVec(d.ForNode(drbg.NodeKey{}), b); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a {

@@ -112,8 +112,8 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 }
 
 // TestRandFastReproducible: the bulk sampler must be deterministic in the
-// DRBG stream and produce canonical representatives; RandPacked must draw
-// exactly the Rand vector.
+// node keystream and produce canonical representatives; RandPacked must
+// draw exactly the Rand vector.
 func TestRandFastReproducible(t *testing.T) {
 	r := MustFp(257)
 	seed := drbg.Seed(sha256.Sum256([]byte("ring-rand")))
@@ -128,7 +128,7 @@ func TestRandFastReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !a.Equal(b) {
-		t.Fatal("Rand not deterministic in the DRBG stream")
+		t.Fatal("Rand not deterministic in the node keystream")
 	}
 	vec := make([]uint64, r.DegreeBound())
 	if err := r.RandPacked(d.ForNode(key), vec); err != nil {
@@ -169,7 +169,7 @@ func TestMulPackedMatchesMul(t *testing.T) {
 func TestFastRandMarshalStable(t *testing.T) {
 	r := MustFp(257)
 	seed := drbg.Seed(sha256.Sum256([]byte("marshal")))
-	q, err := r.Rand(drbg.New(seed, nil))
+	q, err := r.Rand(drbg.NewDeriver(seed, "marshal").ForNode(drbg.NodeKey{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,10 +127,9 @@ func (r *FpCyclotomic) Fast() *fastfield.Field { return r.fast }
 // differential tests and ablation benchmarks; production code leaves the
 // fast path on. Not safe to call concurrently with ring use.
 //
-// Disabling the fast path also restores the original one-draw-per-
-// coefficient DRBG consumption of Rand (the fast path reads the stream
-// in bulk), so the client and server sides of one deployment must agree
-// on the setting or seed-derived shares will not cancel.
+// Disabling the fast path makes Rand draw one coefficient per read
+// instead of sampling in bulk. From a drbg node keystream — the same
+// bytes however it is read — both settings draw the same pad.
 func (r *FpCyclotomic) SetFast(enabled bool) {
 	if enabled {
 		r.fast = r.f.Fast()

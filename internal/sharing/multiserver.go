@@ -31,8 +31,8 @@ import (
 // so the per-query protocol stays one scalar per node per server.
 // Shamir needs a field, so multi-server mode requires the F_p ring.
 
-// MultiShareLabel is the DRBG domain-separation label for the Shamir mask
-// streams of MultiShare/MultiSplit.
+// MultiShareLabel is the domain-separation label for the per-node Shamir
+// mask streams of MultiShare/MultiSplit.
 //
 // v1 marks the move off the shared-rng construction: instead of drawing
 // every Shamir coefficient from one sequential rng stream (which forced a
@@ -43,7 +43,13 @@ import (
 // via the bulk sampler, so the walk order — and hence the parwalk
 // schedule — cannot leak into the output: MultiShare is byte-identical to
 // MultiShareSequential at every Parallelism setting.
-const MultiShareLabel = "sss/shamir-share/v1"
+//
+// v2 marks the move from the HMAC-DRBG to the per-node AES-256-CTR
+// keystream of package drbg, and draws a node's k−1 masks as one bulk
+// vector. A keystream does not depend on how it is read, so the masks
+// are exactly k−1 runs of per-coefficient draws — what the big.Int walk
+// with the fast path off reads — and both settings yield the same trees.
+const MultiShareLabel = "sss/shamir-share/v2"
 
 // ServerShare is one server's share tree plus its Shamir evaluation point.
 type ServerShare struct {
@@ -113,14 +119,13 @@ func MultiSplitSequential(enc *polyenc.Tree, seed drbg.Seed, k, n int, rng io.Re
 // X = j+1 in the returned order.
 //
 // rng is read exactly once, for a 32-byte mask seed; every node's Shamir
-// mask vectors then come from the node's own path-keyed DRBG stream
+// mask vectors then come from the node's own path-keyed keystream
 // (MultiShareLabel), drawn through the bulk sampler. On fast-path rings
 // the share arithmetic is vectorized — share_j = rest + Σ_d mask_d·(j^d)
 // in one fused scalar-multiply-add pass per mask — and subtrees are
 // shared in parallel on a bounded pool; with the fast path off the
-// sequential big.Int walk takes over (and, like ring.Rand, consumes the
-// mask streams per coefficient instead of in bulk, so the two settings
-// produce different — but internally consistent — share trees).
+// sequential big.Int walk takes over, drawing the masks per coefficient
+// from the same keystreams, so both settings produce the same trees.
 func MultiShare(r ring.Ring, rest *Tree, k, n int, rng io.Reader) ([]ServerShare, error) {
 	return MultiShareWithOpts(r, rest, k, n, rng, MultiOpts{})
 }
@@ -273,17 +278,18 @@ func (m *multiSharer) fill(src *Node, key drbg.NodeKey, outs []*Node) error {
 	return nil
 }
 
-// drawMasks draws the node's k−1 Shamir mask vectors from its path-keyed
-// stream, in bulk, in ascending degree order — the consumption pattern
-// both MultiShare and MultiShareSequential share.
+// drawMasks draws the node's k−1 Shamir mask vectors, in ascending degree
+// order, as one bulk vector from its path-keyed stream — the same values
+// the big.Int walk draws per coefficient with the fast path off.
 func drawMasks(fp *ring.FpCyclotomic, d *drbg.Deriver, key drbg.NodeKey, k int) ([][]uint64, error) {
-	stream := d.ForNode(key)
+	bound := fp.DegreeBound()
+	all := make([]uint64, (k-1)*bound)
+	if err := fp.Fast().RandVec(d.ForNode(key), all); err != nil {
+		return nil, err
+	}
 	masks := make([][]uint64, k-1)
 	for i := range masks {
-		masks[i] = make([]uint64, fp.DegreeBound())
-		if err := fp.RandPacked(stream, masks[i]); err != nil {
-			return nil, err
-		}
+		masks[i] = all[i*bound : (i+1)*bound : (i+1)*bound]
 	}
 	return masks, nil
 }
@@ -308,7 +314,7 @@ func (m *multiSharer) packedOf(src *Node) []uint64 {
 // MultiShareSequential and the fast-path-off fallback of MultiShare. On
 // fast-path rings the masks come from the same bulk draws as the parallel
 // walk; with the fast path off they are drawn through ring.Rand's
-// per-coefficient path (see MultiShare).
+// per-coefficient path, which reads the same values (see MultiShareLabel).
 func multiShareSequential(fp *ring.FpCyclotomic, d *drbg.Deriver, rest *Tree, k, n int) ([]ServerShare, error) {
 	roots, err := multiShareNodeRef(fp, d, rest.Root, drbg.NodeKey{}, k, n)
 	if err != nil {

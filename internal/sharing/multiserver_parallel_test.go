@@ -60,6 +60,41 @@ func TestMultiSplitParallelismDeterminism(t *testing.T) {
 	}
 }
 
+// TestMultiSplitMatchesBigIntReference is MultiSplit's independent
+// oracle: MultiSplitSequential on a SetFast(false) ring draws every pad
+// and Shamir mask coefficient through field.Rand and shares in big.Int
+// arithmetic, and must still match the packed parallel MultiSplit byte
+// for byte. k = 3 draws two masks per node back to back from one stream.
+func TestMultiSplitMatchesBigIntReference(t *testing.T) {
+	const k, n = 3, 4
+	fp := ring.MustFp(257)
+	enc, seed := parallelFixture(t, fp, 90, 13, "multi-vs-big")
+	shares, err := MultiSplitWithOpts(enc, seed, k, n, maskRng("multi-big"), MultiOpts{Parallelism: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := ring.MustFp(257)
+	slow.SetFast(false)
+	slowEnc, _ := parallelFixture(t, slow, 90, 13, "multi-vs-big")
+	ref, err := MultiSplitSequential(slowEnc, seed, k, n, maskRng("multi-big"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range ref {
+		got, err := shares[j].Tree.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref[j].Tree.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shares[j].X != ref[j].X || !bytes.Equal(got, want) {
+			t.Fatalf("server %d: packed MultiSplit differs from the big.Int MultiSplitSequential oracle", j)
+		}
+	}
+}
+
 // TestMultiShareThresholdProperty: any k of the n parallel-generated
 // share trees must Shamir-reconstruct the underlying rest polynomial at
 // every node (coefficient-wise), tying the vectorized share generation
@@ -114,8 +149,7 @@ func TestMultiShareThresholdProperty(t *testing.T) {
 
 // TestMultiShareFastOffFallback: with the fast path off MultiShare takes
 // the sequential big.Int walk; the shares must still reconstruct the rest
-// tree (internal consistency — the mask stream itself legitimately
-// differs from the fast-path one, like ring.Rand's).
+// tree.
 func TestMultiShareFastOffFallback(t *testing.T) {
 	r := ring.MustFp(31)
 	enc, seed := parallelFixture(t, r, 12, 3, "multi-fastoff")

@@ -69,37 +69,40 @@ func TestSplitParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestSplitPackedMatchesBigIntReference pins the packed F_p split — word
-// subtraction, bulk pad sampling, lazy Poly — to true big.Int ring
-// arithmetic: the same pads (regenerated through the fast sampler, which
-// defines the v2 share stream) subtracted from the encoded polynomials on
-// a SetFast(false) ring must give the same share polynomials.
+// TestSplitPackedMatchesBigIntReference pins the packed F_p split — bulk
+// pad sampling, word subtraction, lazy Poly — to an oracle that shares
+// none of it: SplitSequential on a SetFast(false) ring encodes through
+// big.Int arithmetic and draws every pad coefficient with field.Rand, one
+// small read at a time. A node keystream is the same bytes however it is
+// read, so both must serialize byte for byte alike.
 func TestSplitPackedMatchesBigIntReference(t *testing.T) {
-	fp := ring.MustFp(257)
-	enc, seed := parallelFixture(t, fp, 120, 5, "packed-vs-big")
-	tree, err := SplitWithOpts(enc, seed, SplitOpts{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range []uint64{257, 1009} {
+		fp := ring.MustFp(p)
+		enc, seed := parallelFixture(t, fp, 120, 5, "packed-vs-big")
+		tree, err := SplitWithOpts(enc, seed, SplitOpts{Parallelism: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tree.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		slow := ring.MustFp(p)
+		slow.SetFast(false)
+		slowEnc, _ := parallelFixture(t, slow, 120, 5, "packed-vs-big")
+		ref, err := SplitSequential(slowEnc, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("F_%d: packed Split differs from the big.Int SplitSequential oracle", p)
+		}
 	}
-	// The reference ring computes Sub in pure big.Int arithmetic.
-	slow := ring.MustFp(257)
-	slow.SetFast(false)
-	client := NewSeedClient(fp, seed) // fast sampler: the v2 pad stream
-	enc.Walk(func(key drbg.NodeKey, n *polyenc.Node) bool {
-		pad, err := client.Share(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := slow.Sub(n.Poly, pad)
-		sn, err := tree.Lookup(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sn.Polynomial().Equal(want) {
-			t.Fatalf("node %s: packed split differs from big.Int reference", key)
-		}
-		return true
-	})
 }
 
 // TestSplitPackedOnlyEncodePipeline drives the exact Outsource fast path

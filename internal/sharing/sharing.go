@@ -1,7 +1,8 @@
 // Package sharing implements §4.2 of the paper: splitting an encoded
 // polynomial tree into a client part and a server part such that
 // client + server = original in the ring, with the client part generated
-// from a seeded DRBG so the client stores nothing but the seed.
+// from per-node keystreams of a seed so the client stores nothing but the
+// seed.
 //
 // It also implements the paper's multi-server extension: the server part
 // can be Shamir-shared coefficient-wise across n servers with threshold k,
@@ -25,7 +26,7 @@ import (
 	"sssearch/internal/ring"
 )
 
-// ShareLabel is the DRBG domain-separation label for client share streams.
+// ShareLabel is the domain-separation label for client share streams.
 //
 // v2 marks the packed fast-path share stream: F_p pads are drawn through
 // the bulk sampler (fastfield.RandVec via ring.RandPacked), which consumes
@@ -34,7 +35,12 @@ import (
 // byte-consumption pattern is not, so pads derived under the v1 label
 // (pre-fast-path store files) would no longer cancel; the label bump
 // domain-separates the two streams instead of letting them silently mix.
-const ShareLabel = "sss/client-share/v2"
+//
+// v3 marks the move from the HMAC-DRBG to the per-node AES-256-CTR
+// keystream of package drbg (v2 pads would not cancel against it). A
+// keystream does not depend on how it is read, so the bulk sampler and
+// per-coefficient ring.Rand now draw the same pads from a node's stream.
+const ShareLabel = "sss/client-share/v3"
 
 // Node is one node of a share tree. Exactly one of Poly and Packed is
 // authoritative: trees built through the big.Int path (unmarshal,
@@ -131,7 +137,7 @@ type SplitOpts struct {
 	// Parallelism bounds the worker pool of the tree walk: 0 selects
 	// runtime.GOMAXPROCS, 1 forces a sequential walk. The output tree is
 	// byte-identical at every setting — each node's pad is derived from
-	// its own path-keyed DRBG stream, so no schedule-dependent state
+	// its own path-keyed keystream, so no schedule-dependent state
 	// exists to leak into the result.
 	Parallelism int
 }
@@ -174,8 +180,9 @@ func SplitWithOpts(enc *polyenc.Tree, seed drbg.Seed, o SplitOpts) (*Tree, error
 // implementation of Split (the pre-parallel behavior, one generic ring op
 // per node). It is retained as the differential-test anchor and the
 // before side of the outsourcing benchmarks; production callers use
-// Split. Both derive identical pads — the per-node DRBG streams do not
-// depend on the walk — so the trees match byte for byte.
+// Split. Both derive identical pads — the per-node keystreams depend
+// neither on the walk nor on how they are read — so the trees match byte
+// for byte, with or without the ring's fast path.
 func SplitSequential(enc *polyenc.Tree, seed drbg.Seed) (*Tree, error) {
 	if enc == nil || enc.Root == nil {
 		return nil, errors.New("sharing: nil encoded tree")
@@ -235,7 +242,7 @@ func (s *splitter) walk(n *polyenc.Node, key drbg.NodeKey, out *Node) {
 // fill computes one node's server share: enc − pad. The packed path draws
 // the pad into a word vector and subtracts in place; nodes that do not
 // pack (foreign coefficients) and non-fast rings take the generic ring
-// ops, consuming the identical DRBG stream.
+// ops, drawing the identical pad from the node's keystream.
 func (s *splitter) fill(n *polyenc.Node, key drbg.NodeKey, out *Node) error {
 	if s.fp != nil {
 		if encP, ok := s.packedOf(n); ok {
@@ -281,9 +288,12 @@ func (s *splitter) packedOf(n *polyenc.Node) ([]uint64, bool) {
 // DefaultShareCacheNodes bounds the seed-only client's packed-share LRU:
 // the most recently touched node pads are kept in packed form so hot
 // nodes (the root levels every query walks) are not re-derived from the
-// DRBG on each visit. At the default, a F_257 deployment holds at most
-// 4096 × 256 words ≈ 8 MiB — a mid-point of the §4.2 seed-vs-materialized
-// trade-off that still leaves the durable client secret at 32 bytes.
+// seed on each visit. One F_257 pad costs a keystream setup plus ~1 KiB
+// of AES-CTR output and rejection sampling — a few microseconds, but a
+// cache hit is still cheaper. At the default, a F_257 deployment holds at
+// most 4096 × 256 words ≈ 8 MiB — a mid-point of the §4.2
+// seed-vs-materialized trade-off that still leaves the durable client
+// secret at 32 bytes.
 const DefaultShareCacheNodes = 4096
 
 // SeedClient regenerates client share polynomials from the seed alone —
@@ -423,7 +433,7 @@ func (c *SeedClient) EvalShare(key drbg.NodeKey, a *big.Int) (*big.Int, error) {
 
 // EvalShares implements MultiPointSource: the share pad is regenerated
 // (or fetched from the cache) once and evaluated at every point in a
-// single multi-point Horner pass — the DRBG regeneration, not the
+// single multi-point Horner pass — the pad regeneration, not the
 // arithmetic, dominates seed-only querying, so one pass per node is the
 // difference between O(points) and O(1) regenerations. On clients
 // attached to a SharedPadCache, repeated (node, point-set) requests —

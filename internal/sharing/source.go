@@ -22,7 +22,7 @@ type ShareSource interface {
 }
 
 // MultiPointSource is the multi-point extension of ShareSource: one share
-// materialization (or DRBG regeneration) serves every active query point
+// materialization (or pad regeneration) serves every active query point
 // in a single polynomial pass. The query engine type-asserts for it and
 // falls back to per-point EvalShare calls otherwise; results are
 // identical either way.

@@ -16,7 +16,7 @@ import (
 
 // This file persists the sharded-deployment artifacts:
 //
-//   - shard stores ("SSSHRD1\0" files): one shard's slice of a
+//   - shard stores ("SSSHRD2\0" files): one shard's slice of a
 //     partitioned share tree — shard id + routing manifest + ring
 //     parameters + tree — everything a daemon needs to serve the shard
 //     and reject out-of-range keys;
@@ -24,10 +24,12 @@ import (
 //     public routing table a client needs to scatter queries.
 //
 // Both follow the store conventions: versioned magic, length-checked
-// fields, trailing CRC32, atomic writes.
+// fields, trailing CRC32, atomic writes. The shard-store magic moves with
+// the server-store generation (SSSHRD2 pairs with SSSTORE3); manifests
+// carry no share data and keep theirs.
 
 var (
-	shardMagic    = []byte("SSSHRD1\x00")
+	shardMagic    = []byte("SSSHRD2\x00")
 	manifestMagic = []byte("SSMANF1\x00")
 )
 
@@ -97,7 +99,7 @@ func ReadShard(data []byte) (ring.Ring, *sharing.Tree, *shard.Manifest, int, err
 		return nil, nil, nil, 0, err
 	}
 	if len(data) < len(shardMagic)+4 || !IsShardStore(data) {
-		return fail(fmt.Errorf("%w: bad magic", ErrBadFormat))
+		return fail(badMagic(data))
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {

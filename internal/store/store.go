@@ -1,20 +1,21 @@
 // Package store persists the scheme's durable artifacts:
 //
 //   - server share stores: ring parameters + share tree, CRC-protected
-//     ("SSSTORE2" files) — what an outsourcing provider keeps on disk;
+//     ("SSSTORE3" files) — what an outsourcing provider keeps on disk;
 //   - client state: seed + private tag mapping + ring parameters
-//     ("SSCLNT2\0" files) — the client's entire secret material, which is
+//     ("SSCLNT3\0" files) — the client's entire secret material, which is
 //     all a client needs to query any number of servers.
 //
 // Formats are versioned by magic and fully length-checked on load; a
 // flipped bit anywhere fails the checksum rather than corrupting queries.
 //
-// The magic moved from generation 1 to 2 together with
-// sharing.ShareLabel: the fast-path bulk sampler changed how seed-derived
-// share pads consume the DRBG stream, so a generation-1 client key would
-// silently fail to cancel against a generation-1 server store under the
-// new derivation. Rejecting the old magic loudly (re-outsource to
-// migrate) is deliberate.
+// The magics move a generation whenever sharing.ShareLabel does, since
+// pads derived under the new label would silently fail to cancel against
+// an old server store: generation 2 came with the fast-path bulk sampler
+// (a new consumption pattern of the HMAC-DRBG stream), generation 3 with
+// the per-node AES-256-CTR keystream that replaced the HMAC-DRBG.
+// Retired generations are recognized only to be rejected loudly, with a
+// hint to re-outsource; that is deliberate.
 package store
 
 import (
@@ -25,6 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strings"
 
 	"sssearch/internal/drbg"
 	"sssearch/internal/mapping"
@@ -33,12 +35,32 @@ import (
 )
 
 var (
-	serverMagic = []byte("SSSTORE2")
-	clientMagic = []byte("SSCLNT2\x00")
+	serverMagic = []byte("SSSTORE3")
+	clientMagic = []byte("SSCLNT3\x00")
 )
+
+// retiredMagics are the earlier generations of the server, client and
+// shard magics (see the package doc).
+var retiredMagics = []string{
+	"SSSTORE1", "SSSTORE2",
+	"SSCLNT1\x00", "SSCLNT2\x00",
+	"SSSHRD1\x00",
+}
 
 // ErrBadFormat reports an unrecognized or corrupt file.
 var ErrBadFormat = errors.New("store: unrecognized or corrupt file")
+
+// badMagic is the error for data that does not start with the expected
+// magic, telling a retired file generation apart from a foreign file.
+func badMagic(data []byte) error {
+	for _, m := range retiredMagics {
+		if bytes.HasPrefix(data, []byte(m)) {
+			return fmt.Errorf("%w: %q is a retired file generation whose share pads no longer cancel; re-outsource the document to migrate",
+				ErrBadFormat, strings.TrimRight(m, "\x00"))
+		}
+	}
+	return fmt.Errorf("%w: bad magic", ErrBadFormat)
+}
 
 // SaveServer writes a server share store to path (atomically via rename).
 func SaveServer(path string, r ring.Ring, tree *sharing.Tree) error {
@@ -88,7 +110,7 @@ func LoadServer(path string) (ring.Ring, *sharing.Tree, error) {
 // ReadServer parses a server share store from bytes.
 func ReadServer(data []byte) (ring.Ring, *sharing.Tree, error) {
 	if len(data) < len(serverMagic)+4 || !bytes.HasPrefix(data, serverMagic) {
-		return nil, nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
+		return nil, nil, badMagic(data)
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
@@ -175,7 +197,7 @@ func LoadClient(path string) (*ClientState, error) {
 // ReadClient parses client state from bytes.
 func ReadClient(data []byte) (*ClientState, error) {
 	if len(data) < len(clientMagic)+drbg.SeedSize+4 || !bytes.HasPrefix(data, clientMagic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
+		return nil, badMagic(data)
 	}
 	body, crcBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {

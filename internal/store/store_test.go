@@ -1,9 +1,14 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/big"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sssearch/internal/drbg"
@@ -149,6 +154,55 @@ func TestClientCorruptionDetected(t *testing.T) {
 	}
 	if _, err := ReadClient(nil); err == nil {
 		t.Fatal("empty input accepted")
+	}
+}
+
+// withMagic rewrites a current-generation file under another magic of
+// the same length and re-seals the checksum, so only the magic differs.
+func withMagic(data []byte, magic string) []byte {
+	out := append([]byte(magic), data[len(magic):len(data)-4]...)
+	return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// TestRetiredGenerationRejected: generation-2 server, client and shard
+// files carry pads from the retired HMAC-DRBG derivation; they must fail
+// with ErrBadFormat and a message that says to re-outsource, while a
+// foreign file still reads as a plain bad magic.
+func TestRetiredGenerationRejected(t *testing.T) {
+	var srv, cli, shd bytes.Buffer
+	r := ring.MustFp(11)
+	if err := WriteServer(&srv, r, buildTree(t, r)); err != nil {
+		t.Fatal(err)
+	}
+	m, _ := mapping.New(big.NewInt(100), nil)
+	if err := WriteClient(&cli, &ClientState{Seed: testSeed(2), Params: r.Params(), Mapping: m}); err != nil {
+		t.Fatal(err)
+	}
+	sr, trees, man := shardFixture(t)
+	if err := WriteShard(&shd, sr, trees[0], man, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		magic string
+		read  func([]byte) error
+	}{
+		{"server", srv.Bytes(), "SSSTORE2", func(b []byte) error { _, _, err := ReadServer(b); return err }},
+		{"client", cli.Bytes(), "SSCLNT2\x00", func(b []byte) error { _, err := ReadClient(b); return err }},
+		{"shard", shd.Bytes(), "SSSHRD1\x00", func(b []byte) error { _, _, _, _, err := ReadShard(b); return err }},
+	} {
+		if err := tc.read(tc.data); err != nil {
+			t.Fatalf("%s: current generation rejected: %v", tc.name, err)
+		}
+		err := tc.read(withMagic(tc.data, tc.magic))
+		if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "re-outsource") {
+			t.Errorf("%s: generation-2 file gave %v, want ErrBadFormat with a re-outsource hint", tc.name, err)
+		}
+		err = tc.read(withMagic(tc.data, "NOTAFILE"))
+		if !errors.Is(err, ErrBadFormat) || strings.Contains(err.Error(), "re-outsource") {
+			t.Errorf("%s: foreign file gave %v, want a plain ErrBadFormat", tc.name, err)
+		}
 	}
 }
 

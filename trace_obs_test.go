@@ -240,11 +240,15 @@ func TestTraceCoalescedLegsShareID(t *testing.T) {
 
 	const leaderID, followerB, followerC = 0x5e7_1d_000a, 0x5e7_1d_000b, 0x5e7_1d_000c
 
-	// Leader occupies the drain; its pass is blocked inside the gate.
+	// Leader occupies the drain; its pass is blocked inside the gate. It
+	// evaluates the followers' point vector, so it holds the very drain
+	// (one Merger signature per point set) they queue behind — with a
+	// different point set the followers would get a drain of their own
+	// and merge or not depending on scheduling.
 	leadErr := make(chan error, 1)
 	go func() {
 		ctx, _ := sampledCtx(leaderID)
-		_, err := s.EvalNodesCtx(ctx, f.Keys[:1], f.Points[:1])
+		_, err := s.EvalNodesCtx(ctx, f.Keys[:1], f.Points)
 		leadErr <- err
 	}()
 	<-g.entered
