@@ -31,10 +31,55 @@ type NodeEval struct {
 }
 
 // NodePoly is the server's answer to a polynomial fetch (verification).
+// The share polynomial comes in one of two forms. Words, when non-nil, is
+// authoritative: word coefficients in ascending degree, as a fast-path
+// F_p server holds them (not necessarily reduced mod p or trimmed). Words
+// is read-only — it may alias the server's share tree — and a consumer
+// that needs them reduced copies first. Otherwise Poly, the big.Int form,
+// holds the polynomial. Readers that want a poly.Poly use Polynomial().
 type NodePoly struct {
 	Key         drbg.NodeKey
+	Words       []uint64
 	Poly        poly.Poly
 	NumChildren int
+}
+
+// Polynomial returns the share polynomial in the big.Int form, boxing
+// Words when they are authoritative.
+func (a NodePoly) Polynomial() poly.Poly {
+	if a.Words != nil {
+		return poly.NewUint64(a.Words)
+	}
+	return a.Poly
+}
+
+// AppendBinary appends the polynomial's canonical encoding (package poly's
+// format, identical for both forms) to dst.
+func (a NodePoly) AppendBinary(dst []byte) ([]byte, error) {
+	if a.Words != nil {
+		return poly.AppendWords(dst, a.Words), nil
+	}
+	return a.Poly.AppendBinary(dst)
+}
+
+// BinarySize returns the length of the polynomial's canonical encoding.
+func (a NodePoly) BinarySize() int {
+	if a.Words != nil {
+		return poly.WordsBinarySize(a.Words)
+	}
+	return a.Poly.BinarySize()
+}
+
+// appendUint64s appends the polynomial's coefficients to dst as words,
+// trimmed like the canonical big.Int form and not reduced mod p. It
+// reports ok=false (dst unchanged in length) when some coefficient is
+// negative or wider than a word. The result never aliases Words, so the
+// caller may reduce it in place.
+func (a NodePoly) appendUint64s(dst []uint64) ([]uint64, bool) {
+	if a.Words != nil {
+		return append(dst, poly.TrimWords(a.Words)...), true
+	}
+	return a.Poly.Uint64Coeffs(dst)
 }
 
 // ServerAPI is the full server-side capability the protocol needs. It is

@@ -383,34 +383,33 @@ func (m *MultiServer) FetchPolys(keys []drbg.NodeKey) ([]NodePoly, error) {
 	out := make([]NodePoly, len(keys))
 	for i, key := range keys {
 		nch := per[0][i].NumChildren
-		maxLen := 0
 		for j := range per {
 			if per[j][i].NumChildren != nch {
 				return nil, fmt.Errorf("core: member servers disagree on the child count of %s", key)
 			}
-			if l := per[j][i].Poly.Len(); l > maxLen {
-				maxLen = l
-			}
 		}
 		if lag != nil {
-			packed := true
+			maxLen, packed := 0, true
 			for j := range per {
-				row, ok := per[j][i].Poly.Uint64Coeffs(rows[j][:0])
+				// A copy, never the member's Words: those may alias its
+				// share tree, and the reduction below is in place.
+				row, ok := per[j][i].appendUint64s(rows[j][:0])
 				if !ok {
 					packed = false
 					break
 				}
 				ff.ReduceVec(row, row)
 				rows[j] = row
+				maxLen = max(maxLen, len(row))
 			}
 			if packed {
 				dst := make([]uint64, maxLen)
 				lag.CombineVec(dst, rows)
-				out[i] = NodePoly{Key: key, Poly: poly.NewUint64(dst), NumChildren: nch}
+				out[i] = NodePoly{Key: key, Words: dst, NumChildren: nch}
 				continue
 			}
 		}
-		p, err := m.combinePolyBig(key, per, xs, i, maxLen)
+		p, err := m.combinePolyBig(key, per, xs, i)
 		if err != nil {
 			return nil, err
 		}
@@ -420,15 +419,22 @@ func (m *MultiServer) FetchPolys(keys []drbg.NodeKey) ([]NodePoly, error) {
 }
 
 // combinePolyBig is the big.Int coefficient-wise reconstruction of one
-// node's share polynomial — the fallback and ablation path.
-func (m *MultiServer) combinePolyBig(key drbg.NodeKey, per [][]NodePoly, xs []uint32, i, maxLen int) (poly.Poly, error) {
+// node's share polynomial — the fallback and ablation path, and the
+// oracle the word combine is tested against.
+func (m *MultiServer) combinePolyBig(key drbg.NodeKey, per [][]NodePoly, xs []uint32, i int) (poly.Poly, error) {
 	zero := big.NewInt(0)
 	f := m.ring.Field()
+	polys := make([]poly.Poly, len(per))
+	maxLen := 0
+	for j := range per {
+		polys[j] = per[j][i].Polynomial()
+		maxLen = max(maxLen, polys[j].Len())
+	}
 	coeffs := make([]*big.Int, maxLen)
 	shares := make([]shamir.Share, len(per))
 	for c := 0; c < maxLen; c++ {
-		for j := range per {
-			shares[j] = shamir.Share{X: xs[j], Y: per[j][i].Poly.Coeff(c)}
+		for j := range polys {
+			shares[j] = shamir.Share{X: xs[j], Y: polys[j].Coeff(c)}
 		}
 		v, err := shamir.InterpolateAt(f, shares, zero, m.k)
 		if err != nil {

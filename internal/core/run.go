@@ -491,7 +491,7 @@ func (r *run) fetchPolys(keys []drbg.NodeKey) (map[string]NodePoly, error) {
 	r.e.counters.AddPolysFetched(len(answers))
 	out := make(map[string]NodePoly, len(answers))
 	for _, a := range answers {
-		r.e.counters.AddPolyBytes(a.Poly.BinarySize())
+		r.e.counters.AddPolyBytes(a.BinarySize())
 		aks := a.Key.String()
 		r.childCount[aks] = a.NumChildren
 		out[aks] = a
@@ -509,7 +509,7 @@ func (r *run) reconstructPoly(answers map[string]NodePoly, key drbg.NodeKey) (po
 	if err != nil {
 		return poly.Poly{}, err
 	}
-	return r.e.ring.Add(cs, ans.Poly), nil
+	return r.e.ring.Add(cs, ans.Polynomial()), nil
 }
 
 // recoverNodeTag reconstructs the full polynomials of a node and its
@@ -553,11 +553,12 @@ func (r *run) recoverNodeTag(key drbg.NodeKey, nch int) (*big.Int, error) {
 }
 
 // recoverNodeTagPacked is the fast-path tag recovery: server polynomials
-// pack once, client shares arrive packed from the share source, and the
-// reconstruction plus eq. (2) solve stay in the word representation end
-// to end. ok=false falls back to the big.Int path (fast path off, source
-// without packed shares, or a polynomial with out-of-word coefficients —
-// e.g. a tampering server).
+// arrive as words (or pack once), client shares arrive packed from the
+// share source, and the reconstruction plus eq. (2) solve stay in the word
+// representation end to end. ok=false falls back to the big.Int path
+// (fast path off, source without packed shares, or a polynomial with
+// out-of-word coefficients or more than DegreeBound of them — e.g. a
+// tampering server).
 func (r *run) recoverNodeTagPacked(answers map[string]NodePoly, key drbg.NodeKey, keys []drbg.NodeKey) (*big.Int, bool, error) {
 	fp, okRing := r.e.ring.(*ring.FpCyclotomic)
 	if !okRing || fp.Fast() == nil {
@@ -573,10 +574,12 @@ func (r *run) recoverNodeTagPacked(answers map[string]NodePoly, key drbg.NodeKey
 		if !ok {
 			return nil, false, fmt.Errorf("core: server omitted polynomial for %s", k)
 		}
-		sv, ok := fp.Pack(ans.Poly)
+		// A fresh vector reduced mod p: the server's words are read-only.
+		sv, ok := ans.appendUint64s(nil)
 		if !ok || len(sv) > fp.DegreeBound() {
 			return nil, false, nil
 		}
+		fp.Fast().ReduceVec(sv, sv)
 		cv, ok, err := src.PackedShare(k)
 		if err != nil {
 			return nil, false, err
@@ -586,7 +589,12 @@ func (r *run) recoverNodeTagPacked(answers map[string]NodePoly, key drbg.NodeKey
 			// unreduced figure values) take the big.Int path, which Reduces.
 			return nil, false, nil
 		}
-		vecs[i] = fp.AddPacked(cv, sv)
+		if len(sv) >= len(cv) {
+			fp.AddPackedInto(sv, sv, cv)
+			vecs[i] = sv
+		} else {
+			vecs[i] = fp.AddPacked(cv, sv)
+		}
 	}
 	r.e.counters.AddTagRecovered()
 	tag, err := polyenc.RecoverTagPacked(fp, vecs[0], vecs[1:])

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
+	"slices"
 )
 
 // Binary layout (all varint = unsigned LEB128 via encoding/binary):
@@ -95,53 +97,156 @@ func (p *Poly) UnmarshalBinary(data []byte) error {
 }
 
 // DecodePoly decodes one polynomial from the front of data, returning the
-// remaining bytes. This is the streaming form used by the wire protocol and
-// the on-disk store.
+// remaining bytes: the streaming big.Int decoder of the wire protocol and
+// the on-disk store, and the fallback when DecodeWords reports ok=false.
 func DecodePoly(data []byte) (Poly, []byte, error) {
+	n, data, err := decodeCount(data)
+	if err != nil {
+		return Poly{}, nil, err
+	}
+	c := make([]*big.Int, n)
+	for i := range c {
+		var sign byte
+		var mag []byte
+		sign, mag, data, err = decodeCoeff(data)
+		if err != nil {
+			return Poly{}, nil, err
+		}
+		v := new(big.Int).SetBytes(mag)
+		if sign == 2 {
+			v.Neg(v)
+		}
+		c[i] = v
+	}
+	return Poly{c: c}.trim(), data, nil
+}
+
+// AppendWords appends the encoding of the polynomial with the given word
+// coefficients (ascending degree) to dst. The bytes are exactly those of
+// NewUint64(c).MarshalBinary() — trailing zero words are not written — but
+// no coefficient is boxed. c is only read.
+func AppendWords(dst []byte, c []uint64) []byte {
+	c = TrimWords(c)
+	dst = slices.Grow(dst, binary.MaxVarintLen64+len(c)*10)
+	dst = binary.AppendUvarint(dst, uint64(len(c)))
+	var be [8]byte
+	for _, v := range c {
+		if v == 0 {
+			dst = append(dst, 0)
+			continue
+		}
+		n := (bits.Len64(v) + 7) / 8
+		binary.BigEndian.PutUint64(be[:], v)
+		dst = append(dst, 1, byte(n))
+		dst = append(dst, be[8-n:]...)
+	}
+	return dst
+}
+
+// WordsBinarySize returns len(AppendWords(nil, c)) without encoding.
+func WordsBinarySize(c []uint64) int {
+	c = TrimWords(c)
+	n := uvarintLen(uint64(len(c))) + len(c)
+	for _, v := range c {
+		if v != 0 {
+			n += 1 + (bits.Len64(v)+7)/8
+		}
+	}
+	return n
+}
+
+// TrimWords returns c without its trailing zero words: the coefficients
+// the canonical encoding writes.
+func TrimWords(c []uint64) []uint64 {
+	for len(c) > 0 && c[len(c)-1] == 0 {
+		c = c[:len(c)-1]
+	}
+	return c
+}
+
+// DecodeWords decodes one polynomial from the front of data straight into
+// word coefficients (ascending degree, trailing zeros trimmed), returning
+// the remaining bytes. It accepts exactly the inputs DecodePoly accepts,
+// with the same errors. When the polynomial is well formed but some
+// coefficient is negative or wider than a word, it returns ok=false and
+// no error, and the caller decodes the same bytes with DecodePoly.
+func DecodeWords(data []byte) (c []uint64, rest []byte, ok bool, err error) {
+	n, data, err := decodeCount(data)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	c = make([]uint64, n)
+	ok = true
+	for i := range c {
+		var sign byte
+		var mag []byte
+		sign, mag, data, err = decodeCoeff(data)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		// A magnitude may carry leading zero bytes; its value decides.
+		for len(mag) > 0 && mag[0] == 0 {
+			mag = mag[1:]
+		}
+		if len(mag) > 8 || (sign == 2 && len(mag) > 0) {
+			// Keep scanning: the structural errors must still surface.
+			ok = false
+			continue
+		}
+		var v uint64
+		for _, b := range mag {
+			v = v<<8 | uint64(b)
+		}
+		c[i] = v
+	}
+	if !ok {
+		return nil, data, false, nil
+	}
+	return TrimWords(c), data, true, nil
+}
+
+// decodeCount reads the coefficient count of an encoded polynomial.
+func decodeCount(data []byte) (uint64, []byte, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
-		return Poly{}, nil, errors.New("poly: bad coefficient count")
+		return 0, nil, errors.New("poly: bad coefficient count")
 	}
 	if n > maxMarshalCoeffs {
-		return Poly{}, nil, fmt.Errorf("poly: coefficient count %d exceeds limit", n)
+		return 0, nil, fmt.Errorf("poly: coefficient count %d exceeds limit", n)
 	}
 	data = data[k:]
 	// Each coefficient needs at least its sign byte: reject impossible
 	// counts before allocating (DoS hardening).
 	if n > uint64(len(data)) {
-		return Poly{}, nil, errors.New("poly: coefficient count exceeds available bytes")
+		return 0, nil, errors.New("poly: coefficient count exceeds available bytes")
 	}
-	c := make([]*big.Int, n)
-	for i := uint64(0); i < n; i++ {
-		if len(data) == 0 {
-			return Poly{}, nil, errors.New("poly: truncated coefficient")
-		}
-		sign := data[0]
-		data = data[1:]
-		switch sign {
-		case 0:
-			c[i] = new(big.Int)
-		case 1, 2:
-			l, k := binary.Uvarint(data)
-			if k <= 0 {
-				return Poly{}, nil, errors.New("poly: bad coefficient length")
-			}
-			if l > maxCoeffBytes {
-				return Poly{}, nil, fmt.Errorf("poly: coefficient length %d exceeds limit", l)
-			}
-			data = data[k:]
-			if uint64(len(data)) < l {
-				return Poly{}, nil, errors.New("poly: truncated coefficient bytes")
-			}
-			v := new(big.Int).SetBytes(data[:l])
-			if sign == 2 {
-				v.Neg(v)
-			}
-			c[i] = v
-			data = data[l:]
-		default:
-			return Poly{}, nil, fmt.Errorf("poly: invalid sign byte %d", sign)
-		}
+	return n, data, nil
+}
+
+// decodeCoeff reads one coefficient: its sign byte and its big-endian
+// magnitude (nil for sign 0), which aliases data.
+func decodeCoeff(data []byte) (sign byte, mag, rest []byte, err error) {
+	if len(data) == 0 {
+		return 0, nil, nil, errors.New("poly: truncated coefficient")
 	}
-	return Poly{c: c}.trim(), data, nil
+	sign, data = data[0], data[1:]
+	switch sign {
+	case 0:
+		return 0, nil, data, nil
+	case 1, 2:
+		l, k := binary.Uvarint(data)
+		if k <= 0 {
+			return 0, nil, nil, errors.New("poly: bad coefficient length")
+		}
+		if l > maxCoeffBytes {
+			return 0, nil, nil, fmt.Errorf("poly: coefficient length %d exceeds limit", l)
+		}
+		data = data[k:]
+		if uint64(len(data)) < l {
+			return 0, nil, nil, errors.New("poly: truncated coefficient bytes")
+		}
+		return sign, data[:l], data[l:], nil
+	default:
+		return 0, nil, nil, fmt.Errorf("poly: invalid sign byte %d", sign)
+	}
 }

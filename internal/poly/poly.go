@@ -8,6 +8,12 @@
 //
 // Arithmetic here is plain Z[x]; quotient-ring reduction (mod p, mod r(x),
 // mod x^{p-1}-1) lives in package ring.
+//
+// big.Int is the reference representation. The binary encoding (see
+// MarshalBinary) is also written and read straight from word coefficients
+// by AppendWords and DecodeWords: the wire and disk fast path for packed
+// F_p share polynomials. Both sides produce and accept the same bytes, so
+// the format does not depend on which representation is in memory.
 package poly
 
 import (

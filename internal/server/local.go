@@ -74,9 +74,9 @@ func NewLocal(r ring.Ring, tree *sharing.Tree) (*Local, error) {
 		s.fp = fp
 		s.packed = make(map[*sharing.Node][]uint64)
 		tree.Walk(func(_ drbg.NodeKey, n *sharing.Node) bool {
-			// The packed split leaves a canonical word mirror on every
-			// node; only trees loaded from disk or built through the
-			// big.Int path still need packing here.
+			// The packed split and store loads on this ring leave a
+			// canonical word mirror on every nonzero node; zero nodes
+			// and trees built through the big.Int path pack here.
 			if n.Packed != nil {
 				s.packed[n] = n.Packed
 			} else if vec, ok := fp.Pack(n.Poly); ok {
@@ -216,7 +216,10 @@ func (s *Local) evalNodesFast(keys []drbg.NodeKey, points []*big.Int) ([]core.No
 	return out, nil
 }
 
-// FetchPolys implements core.ServerAPI.
+// FetchPolys implements core.ServerAPI. A packed node's answer is its
+// packed vector itself (core.NodePoly.Words, read-only), so a fetch
+// neither copies nor boxes a coefficient; other nodes answer with the
+// polynomial they hold.
 func (s *Local) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 	out := make([]core.NodePoly, len(keys))
 	for i, k := range keys {
@@ -224,7 +227,7 @@ func (s *Local) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		out[i] = core.NodePoly{Key: k, Poly: node.Polynomial(), NumChildren: len(node.Children)}
+		out[i] = core.NodePoly{Key: k, Words: node.Packed, Poly: node.Poly, NumChildren: len(node.Children)}
 	}
 	return out, nil
 }

@@ -2,10 +2,12 @@ package server
 
 import (
 	"math/big"
+	"reflect"
 	"testing"
 
 	"sssearch/internal/drbg"
 	"sssearch/internal/paperdata"
+	"sssearch/internal/poly"
 	"sssearch/internal/polyenc"
 	"sssearch/internal/ring"
 	"sssearch/internal/sharing"
@@ -81,7 +83,7 @@ func TestFetchPolysMatchesTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	node, _ := local.Tree().Lookup(drbg.NodeKey{1})
-	if !r.Equal(answers[0].Poly, node.Polynomial()) {
+	if !r.Equal(answers[0].Polynomial(), node.Polynomial()) {
 		t.Error("fetched polynomial differs from stored")
 	}
 	if answers[0].NumChildren != 1 {
@@ -118,7 +120,7 @@ func TestTampererCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp[0].Poly.Equal(hp[0].Poly) {
+	if dp[0].Polynomial().Equal(hp[0].Polynomial()) {
 		t.Error("poly not tampered")
 	}
 	if tam.PolyTampered != 1 {
@@ -135,5 +137,44 @@ func TestTampererCounts(t *testing.T) {
 	}
 	if err := tam.Prune(nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTampererClearsWords: on a fast-path ring the honest answer carries
+// words that alias the server's tree; a corrupted answer must drop them
+// (words win over Poly) and must not write through them.
+func TestTampererClearsWords(t *testing.T) {
+	fp := ring.MustFp(257)
+	enc, err := polyenc.Encode(fp, paperdata.Document(), paperdata.Mapping(fp.MaxTag()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := sharing.Split(enc, testSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := NewLocal(fp, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []drbg.NodeKey{{1}}
+	hp, _ := local.FetchPolys(key)
+	if hp[0].Words == nil {
+		t.Fatal("fast-path server answered without words — test is vacuous")
+	}
+	honest := append([]uint64(nil), hp[0].Words...)
+	tam := &Tamperer{Inner: local, CorruptPolyAt: drbg.NodeKey{1}}
+	dp, err := tam.FetchPolys(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dp[0].Words != nil {
+		t.Fatal("tampered answer kept the honest words")
+	}
+	if want := poly.NewUint64(honest).Add(poly.One()); !dp[0].Polynomial().Equal(want) {
+		t.Fatalf("tampered polynomial %v, want %v", dp[0].Polynomial(), want)
+	}
+	if again, _ := local.FetchPolys(key); !reflect.DeepEqual(again[0].Words, honest) {
+		t.Fatal("tampering wrote through the server's words")
 	}
 }

@@ -62,7 +62,8 @@ func (t *Tamperer) FetchPolys(keys []drbg.NodeKey) ([]core.NodePoly, error) {
 		if out[i].Key.String() != target {
 			continue
 		}
-		out[i].Poly = out[i].Poly.Add(poly.One())
+		out[i].Poly = out[i].Polynomial().Add(poly.One())
+		out[i].Words = nil
 		t.PolyTampered++
 	}
 	return out, nil

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 
+	"sssearch/internal/drbg"
 	"sssearch/internal/poly"
+	"sssearch/internal/ring"
 )
 
 // Binary layout of a share tree (preorder):
@@ -16,16 +18,25 @@ import (
 //	    poly    share polynomial (poly wire format)
 //
 // Preorder with explicit child counts reconstructs the shape uniquely.
+// Packed nodes are written from their words (poly.AppendWords), big.Int
+// nodes from their Poly; both give the same bytes for the same
+// polynomial, so a tree's encoding does not depend on how it was built
+// or loaded.
 
 // maxTreeNodes bounds accepted trees (16M nodes).
 const maxTreeNodes = 1 << 24
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (t *Tree) MarshalBinary() ([]byte, error) {
+	return t.AppendBinary(make([]byte, 0, t.ByteSize()))
+}
+
+// AppendBinary appends the tree's encoding to dst.
+func (t *Tree) AppendBinary(dst []byte) ([]byte, error) {
 	if t.Root == nil {
 		return nil, errors.New("sharing: marshal of empty tree")
 	}
-	buf := binary.AppendUvarint(nil, uint64(t.Count()))
+	buf := binary.AppendUvarint(dst, uint64(t.Count()))
 	var err error
 	var rec func(n *Node)
 	rec = func(n *Node) {
@@ -33,8 +44,9 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 			return
 		}
 		buf = binary.AppendUvarint(buf, uint64(len(n.Children)))
-		buf, err = n.Polynomial().AppendBinary(buf)
-		if err != nil {
+		if n.Packed != nil {
+			buf = poly.AppendWords(buf, n.Packed)
+		} else if buf, err = n.Poly.AppendBinary(buf); err != nil {
 			return
 		}
 		for _, c := range n.Children {
@@ -43,6 +55,32 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 	}
 	rec(t.Root)
 	return buf, err
+}
+
+// ByteSize returns the serialized size of the tree in bytes — the storage
+// metric of experiment E7 — summed node by node, without encoding.
+func (t *Tree) ByteSize() int {
+	if t.Root == nil {
+		return 0
+	}
+	size, count := 0, 0
+	t.Walk(func(_ drbg.NodeKey, n *Node) bool {
+		count++
+		size += uvarintLen(uint64(len(n.Children)))
+		if n.Packed != nil {
+			size += poly.WordsBinarySize(n.Packed)
+		} else {
+			size += n.Poly.BinarySize()
+		}
+		return true
+	})
+	return uvarintLen(uint64(count)) + size
+}
+
+// uvarintLen is the encoded length of v as an unsigned LEB128 varint.
+func uvarintLen(v uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], v)
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -58,8 +96,30 @@ func (t *Tree) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// DecodeTree decodes one share tree from the front of data.
+// DecodeTree decodes one share tree from the front of data into big.Int
+// polynomials (Node.Poly): the reference decoder, independent of any
+// ring.
 func DecodeTree(data []byte) (*Tree, []byte, error) {
+	return decodeTree(data, nil)
+}
+
+// DecodeTreeFor decodes one share tree from the front of data for ring r.
+// On an F_p ring with the word-sized fast path, every node whose
+// polynomial is canonical in r — at most DegreeBound coefficients, each
+// below p — is decoded straight into a DegreeBound-length Node.Packed
+// vector, so a loaded tree holds no big.Int polynomials and re-encodes to
+// the same bytes. Zero polynomials and anything else (negative, wide,
+// unreduced or over-long coefficients) decode into Node.Poly, as
+// DecodeTree does. Errors are those of DecodeTree.
+func DecodeTreeFor(r ring.Ring, data []byte) (*Tree, []byte, error) {
+	fp, ok := r.(*ring.FpCyclotomic)
+	if !ok || fp.Fast() == nil {
+		fp = nil
+	}
+	return decodeTree(data, fp)
+}
+
+func decodeTree(data []byte, fp *ring.FpCyclotomic) (*Tree, []byte, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, nil, errors.New("sharing: bad node count")
@@ -67,40 +127,44 @@ func DecodeTree(data []byte) (*Tree, []byte, error) {
 	if n == 0 || n > maxTreeNodes {
 		return nil, nil, fmt.Errorf("sharing: node count %d out of range", n)
 	}
-	data = data[k:]
-	remaining := n
-	root, data, err := decodeNode(data, &remaining)
+	d := treeDecoder{remaining: n, fp: fp}
+	root, data, err := d.node(data[k:])
 	if err != nil {
 		return nil, nil, err
 	}
-	if remaining != 0 {
-		return nil, nil, fmt.Errorf("sharing: node count mismatch: %d unconsumed", remaining)
+	if d.remaining != 0 {
+		return nil, nil, fmt.Errorf("sharing: node count mismatch: %d unconsumed", d.remaining)
 	}
 	return &Tree{Root: root}, data, nil
 }
 
-func decodeNode(data []byte, remaining *uint64) (*Node, []byte, error) {
-	if *remaining == 0 {
+// treeDecoder carries the state of one tree decode: the nodes still
+// declared and, when non-nil, the fast-path ring nodes are packed for.
+type treeDecoder struct {
+	remaining uint64
+	fp        *ring.FpCyclotomic
+}
+
+func (d *treeDecoder) node(data []byte) (*Node, []byte, error) {
+	if d.remaining == 0 {
 		return nil, nil, errors.New("sharing: more nodes than declared")
 	}
-	*remaining--
+	d.remaining--
 	nc, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, nil, errors.New("sharing: bad child count")
 	}
-	if nc > *remaining {
-		return nil, nil, fmt.Errorf("sharing: child count %d exceeds remaining nodes %d", nc, *remaining)
+	if nc > d.remaining {
+		return nil, nil, fmt.Errorf("sharing: child count %d exceeds remaining nodes %d", nc, d.remaining)
 	}
-	data = data[k:]
-	p, rest, err := poly.DecodePoly(data)
+	node := &Node{}
+	data, err := d.share(node, data[k:])
 	if err != nil {
 		return nil, nil, err
 	}
-	data = rest
-	node := &Node{Poly: p}
 	for i := uint64(0); i < nc; i++ {
 		var c *Node
-		c, data, err = decodeNode(data, remaining)
+		c, data, err = d.node(data)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -109,12 +173,41 @@ func decodeNode(data []byte, remaining *uint64) (*Node, []byte, error) {
 	return node, data, nil
 }
 
-// ByteSize returns the serialized size of the tree in bytes — the storage
-// metric of experiment E7.
-func (t *Tree) ByteSize() int {
-	b, err := t.MarshalBinary()
-	if err != nil {
-		return 0
+// share decodes node's share polynomial from the front of data.
+func (d *treeDecoder) share(node *Node, data []byte) ([]byte, error) {
+	if d.fp != nil {
+		words, rest, ok, err := poly.DecodeWords(data)
+		if err != nil {
+			return nil, err
+		}
+		if ok && len(words) == 0 {
+			return rest, nil
+		}
+		if bound := d.fp.DegreeBound(); ok && len(words) <= bound && d.reduced(words) {
+			if len(words) < bound {
+				full := make([]uint64, bound)
+				copy(full, words)
+				words = full
+			}
+			node.Packed = words
+			return rest, nil
+		}
 	}
-	return len(b)
+	p, rest, err := poly.DecodePoly(data)
+	if err != nil {
+		return nil, err
+	}
+	node.Poly = p
+	return rest, nil
+}
+
+// reduced reports whether every word is a canonical residue mod p.
+func (d *treeDecoder) reduced(words []uint64) bool {
+	p := d.fp.Fast().P()
+	for _, v := range words {
+		if v >= p {
+			return false
+		}
+	}
+	return true
 }

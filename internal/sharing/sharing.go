@@ -43,10 +43,11 @@ import (
 const ShareLabel = "sss/client-share/v3"
 
 // Node is one node of a share tree. Exactly one of Poly and Packed is
-// authoritative: trees built through the big.Int path (unmarshal,
+// authoritative: trees built through the big.Int path (DecodeTree,
 // Materialize, the sequential reference walks, hand-rolled fixtures)
-// carry Poly; trees from the packed split and the packed MultiSplit
-// carry Packed and materialize Poly on demand through Polynomial().
+// carry Poly; trees from the packed split, the packed MultiSplit and
+// DecodeTreeFor on a fast-path ring carry Packed and materialize Poly on
+// demand through Polynomial().
 // Readers that cannot know the tree's provenance must go through
 // Polynomial().
 type Node struct {
@@ -55,15 +56,15 @@ type Node struct {
 	Poly poly.Poly
 	// Packed, when non-nil, is the canonical word-sized share polynomial
 	// ([]uint64 coefficients, full ring length, ascending degree) left
-	// behind by the packed split so server.Local can index share
-	// polynomials without re-packing and the split never boxes
-	// coefficients it may never serve. Serialization reads it through
-	// Polynomial; unmarshaled trees re-pack lazily. Shared read-only.
+	// behind by the packed split (or by DecodeTreeFor) so server.Local
+	// can index and serve share polynomials without re-packing and
+	// nothing boxes coefficients it may never need. Serialization
+	// writes it directly (poly.AppendWords). Shared read-only.
 	Packed   []uint64
 	Children []*Node
 	// boxed caches the Polynomial() materialization of Packed, so
-	// repeated polynomial fetches over a packed tree (FetchPolys batches,
-	// reconstruction) box each node once instead of per call. Benign
+	// big.Int readers of a packed tree (contentindex, reconstruction,
+	// the reference paths) box each node once instead of per call. Benign
 	// last-writer-wins race: every racer stores an identical value.
 	boxed atomic.Pointer[poly.Poly]
 }
@@ -72,8 +73,8 @@ type Node struct {
 // representation, materializing it from the packed mirror when that is
 // the authoritative form. The first materialization is cached on the
 // node (nodes are immutable after the split), so hot paths keep working
-// on Packed while cold paths (marshal, polynomial fetches,
-// reconstruction) pay one boxing pass per node, not per call.
+// on Packed while big.Int readers (reconstruction, contentindex, the
+// reference paths) pay one boxing pass per node, not per call.
 func (n *Node) Polynomial() poly.Poly {
 	if n.Packed == nil {
 		return n.Poly

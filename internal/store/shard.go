@@ -58,24 +58,17 @@ func WriteShard(w io.Writer, r ring.Ring, tree *sharing.Tree, man *shard.Manifes
 	if err != nil {
 		return err
 	}
-	treeBytes, err := tree.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	body := make([]byte, 0, len(shardMagic)+30+len(manBytes)+len(params)+len(treeBytes))
+	body := make([]byte, 0, len(shardMagic)+30+len(manBytes)+len(params)+tree.ByteSize()+4)
 	body = append(body, shardMagic...)
 	body = binary.AppendUvarint(body, uint64(id))
 	body = binary.AppendUvarint(body, uint64(len(manBytes)))
 	body = append(body, manBytes...)
 	body = binary.AppendUvarint(body, uint64(len(params)))
 	body = append(body, params...)
-	body = append(body, treeBytes...)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	if _, err := w.Write(body); err != nil {
+	if body, err = tree.AppendBinary(body); err != nil {
 		return err
 	}
-	_, err = w.Write(crc[:])
+	_, err = w.Write(binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
 	return err
 }
 
@@ -134,7 +127,7 @@ func ReadShard(data []byte) (ring.Ring, *sharing.Tree, *shard.Manifest, int, err
 	if err != nil {
 		return fail(fmt.Errorf("store: ring: %w", err))
 	}
-	tree, trailing, err := sharing.DecodeTree(rest[plen:])
+	tree, trailing, err := sharing.DecodeTreeFor(r, rest[plen:])
 	if err != nil {
 		return fail(fmt.Errorf("store: tree: %w", err))
 	}

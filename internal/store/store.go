@@ -64,38 +64,40 @@ func badMagic(data []byte) error {
 
 // SaveServer writes a server share store to path (atomically via rename).
 func SaveServer(path string, r ring.Ring, tree *sharing.Tree) error {
-	var buf bytes.Buffer
-	if err := WriteServer(&buf, r, tree); err != nil {
+	data, err := encodeServer(r, tree)
+	if err != nil {
 		return err
 	}
-	return atomicWrite(path, buf.Bytes())
+	return atomicWrite(path, data)
 }
 
 // WriteServer streams a server share store to w.
 func WriteServer(w io.Writer, r ring.Ring, tree *sharing.Tree) error {
+	data, err := encodeServer(r, tree)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(data)
+	return err
+}
+
+// encodeServer returns a server share store's bytes, checksum included.
+func encodeServer(r ring.Ring, tree *sharing.Tree) ([]byte, error) {
 	if r == nil || tree == nil || tree.Root == nil {
-		return errors.New("store: nil ring or tree")
+		return nil, errors.New("store: nil ring or tree")
 	}
 	params, err := r.Params().MarshalBinary()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	treeBytes, err := tree.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	body := make([]byte, 0, len(serverMagic)+10+len(params)+len(treeBytes))
+	body := make([]byte, 0, len(serverMagic)+10+len(params)+tree.ByteSize()+4)
 	body = append(body, serverMagic...)
 	body = binary.AppendUvarint(body, uint64(len(params)))
 	body = append(body, params...)
-	body = append(body, treeBytes...)
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
-	if _, err := w.Write(body); err != nil {
-		return err
+	if body, err = tree.AppendBinary(body); err != nil {
+		return nil, err
 	}
-	_, err = w.Write(crc[:])
-	return err
+	return binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body)), nil
 }
 
 // LoadServer reads a server share store from path.
@@ -130,7 +132,7 @@ func ReadServer(data []byte) (ring.Ring, *sharing.Tree, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: ring: %w", err)
 	}
-	tree, trailing, err := sharing.DecodeTree(rest[plen:])
+	tree, trailing, err := sharing.DecodeTreeFor(r, rest[plen:])
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: tree: %w", err)
 	}

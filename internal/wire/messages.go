@@ -280,6 +280,12 @@ func DecodeFetchReq(data []byte) (FetchReq, error) {
 }
 
 // FetchResp carries the answers to a FetchReq.
+//
+// Payload: uvarint id, uvarint answer count, then per answer the node key,
+// uvarint child count and the share polynomial in package poly's encoding.
+// Answers are encoded from core.NodePoly.Words when set and decoded into
+// Words whenever every coefficient fits a word; the bytes are the same as
+// for the big.Int form, so either side may hold either form.
 type FetchResp struct {
 	ID      uint64
 	Answers []core.NodePoly
@@ -296,7 +302,7 @@ func AppendFetchResp(dst []byte, r FetchResp) ([]byte, error) {
 	for _, a := range r.Answers {
 		dst = AppendKey(dst, a.Key)
 		dst = binary.AppendUvarint(dst, uint64(a.NumChildren))
-		dst, err = a.Poly.AppendBinary(dst)
+		dst, err = a.AppendBinary(dst)
 		if err != nil {
 			return nil, err
 		}
@@ -329,11 +335,17 @@ func DecodeFetchResp(data []byte) (FetchResp, error) {
 		if k <= 0 || nch > maxListLen {
 			return FetchResp{}, errors.New("wire: bad child count")
 		}
-		p, rest2, err := poly.DecodePoly(rest[k:])
+		ans := core.NodePoly{Key: key, NumChildren: int(nch)}
+		words, rest2, ok, err := poly.DecodeWords(rest[k:])
 		if err != nil {
 			return FetchResp{}, err
 		}
-		out.Answers[i] = core.NodePoly{Key: key, NumChildren: int(nch), Poly: p}
+		if ok {
+			ans.Words = words
+		} else if ans.Poly, rest2, err = poly.DecodePoly(rest[k:]); err != nil {
+			return FetchResp{}, err
+		}
+		out.Answers[i] = ans
 		data = rest2
 	}
 	if len(data) != 0 {

@@ -226,7 +226,7 @@ func TestFetchMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decR.Answers[0].NumChildren != 3 || !decR.Answers[0].Poly.Equal(poly.FromInt64(45, 265)) {
+	if decR.Answers[0].NumChildren != 3 || !decR.Answers[0].Polynomial().Equal(poly.FromInt64(45, 265)) {
 		t.Errorf("fetch resp = %+v", decR.Answers[0])
 	}
 }
