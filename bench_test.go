@@ -341,9 +341,8 @@ func BenchmarkMultiServer4Concurrent(b *testing.B) { benchmarkMultiLookup(b, fal
 // --- pipelined wire protocol benchmarks --------------------------------------
 
 // benchmarkRemoteEval measures many independent EvalNodes calls through
-// one TCP connection, strict v1 (each call waits its turn on the wire)
-// versus pipelined v2 (calls overlap in flight).
-func benchmarkRemoteEval(b *testing.B, version uint32, concurrency int) {
+// one TCP connection, pipelined so the calls overlap in flight.
+func benchmarkRemoteEval(b *testing.B, concurrency int) {
 	fp := ring.MustFp(257)
 	doc := workload.RandomTree(workload.TreeConfig{Nodes: 200, MaxFanout: 4, Vocab: 12, Seed: 78})
 	m, err := mapping.New(fp.MaxTag(), []byte("bench-wire"))
@@ -382,7 +381,7 @@ func benchmarkRemoteEval(b *testing.B, version uint32, concurrency int) {
 		d.Close()
 		<-done
 	}()
-	r, err := client.DialVersion(l.Addr().String(), version, nil)
+	r, err := client.Dial(l.Addr().String(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,8 +407,7 @@ func benchmarkRemoteEval(b *testing.B, version uint32, concurrency int) {
 	}
 }
 
-func BenchmarkRemoteEvalStrictV1(b *testing.B)    { benchmarkRemoteEval(b, 1, 16) }
-func BenchmarkRemoteEvalPipelinedV2(b *testing.B) { benchmarkRemoteEval(b, 2, 16) }
+func BenchmarkRemoteEvalPipelined16(b *testing.B) { benchmarkRemoteEval(b, 16) }
 
 // BenchmarkColdStartToFirstAnswer measures the full pipeline latency a new
 // user experiences: parse → outsource → connect → first query.

@@ -19,7 +19,6 @@ import (
 	"sssearch/internal/server"
 	"sssearch/internal/shard"
 	"sssearch/internal/sharing"
-	"sssearch/internal/wire"
 )
 
 // startFixtureDaemon serves the fixture's share tree on a loopback
@@ -301,23 +300,6 @@ func TestConformanceRemote(t *testing.T) {
 			r, err := client.Dial(addr, nil)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if got := r.ProtocolVersion(); got != wire.MaxVersion {
-				t.Fatalf("negotiated version %d, want %d", got, wire.MaxVersion)
-			}
-			t.Cleanup(func() { r.Close() })
-			return r
-		})
-	})
-	t.Run("StrictV1", func(t *testing.T) {
-		apitest.Run(t, ring.MustIntQuotient(1, 0, 1), func(t *testing.T, f *apitest.Fixture) core.ServerAPI {
-			addr := startFixtureDaemon(t, f)
-			r, err := client.DialVersion(addr, wire.Version, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := r.ProtocolVersion(); got != wire.Version {
-				t.Fatalf("negotiated version %d, want %d", got, wire.Version)
 			}
 			t.Cleanup(func() { r.Close() })
 			return r

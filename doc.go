@@ -69,16 +69,17 @@
 //
 // # Concurrency
 //
-// The query engine is concurrent end-to-end. The wire protocol negotiates
-// a pipelined framing (version 2) that tags every frame with a request ID,
-// so one connection carries many in-flight requests; the server daemon
+// The query engine is concurrent end-to-end. The wire protocol has one
+// frame format, which tags every frame with a request ID, so one
+// connection carries many in-flight requests; the server daemon
 // dispatches decoded requests to a bounded worker pool and writes
 // responses as they complete, out of order. On the client side,
 // client.Remote routes responses back to callers from a single reader
 // goroutine and offers context-aware and asynchronous calls
 // (EvalNodesCtx, EvalNodesAsync); client.Pool spreads calls across a
-// fixed set of connections. Old endpoints still work: version 1 peers get
-// the strict request/response loop.
+// fixed set of connections. The handshake is accept-or-reject: a daemon
+// answers a Hello of any other protocol version with a typed
+// unsupported-version error and closes the connection.
 //
 // Inside a query, core.Opts.Parallelism splits each evaluation wave into
 // concurrent batches, and core.MultiServer fans a k-of-n deployment out
@@ -344,12 +345,9 @@
 //
 //   - Admission control (ServeOpts.MaxInflight, sss-server
 //     -max-inflight, server.Daemon.MaxInflight): one daemon-wide bound
-//     on concurrently executing requests. Excess requests from
-//     current-protocol sessions are shed immediately with a typed,
-//     retryable wire error carrying a retry-after hint — no work done,
-//     no queue joined. Sessions speaking older protocol versions queue
-//     for a slot instead (their peers cannot decode the typed error),
-//     so interop is unchanged.
+//     on concurrently executing requests. Excess requests are shed
+//     immediately with a typed, retryable wire error carrying a
+//     retry-after hint — no work done, no queue joined.
 //   - Typed shed semantics, per layer: client.Reliable treats a shed as
 //     retryable without invalidating the session and honors the
 //     retry-after hint; client.Pool does not eject or fail over on
@@ -390,22 +388,23 @@
 //
 // # Observability
 //
-// The serving stack is traceable end to end (internal/obs). Eight stages
+// The serving stack is traceable end to end (internal/obs). Seven stages
 // of a request's life — client share arithmetic, batcher flush wait, wire
-// round trip, daemon admission wait, worker dispatch, coalescer merge
-// wait, store evaluation, response writer-queue residency — are each
-// timed into a lock-free log-bucketed histogram (atomic buckets, so the
-// hot path never takes a lock; snapshots merge exactly, so per-daemon
-// histograms aggregate across a fleet).
+// round trip, worker dispatch, coalescer merge wait, store evaluation,
+// response writer-queue residency — are each timed into a lock-free
+// log-bucketed histogram (atomic buckets, so the hot path never takes a
+// lock; snapshots merge exactly, so per-daemon histograms aggregate
+// across a fleet).
 //
 // Tracing is sampled: obs.SetSampleEvery(n) (sss-server -trace-sample)
-// marks every nth request with a 64-bit trace id that rides the wire as
-// an optional protocol-v3 frame extension — v2 peers never see it, and
-// unsampled requests pay one atomic load and put zero extra bytes on the
-// wire. The id survives every serving indirection: retried legs, hedged
-// spares, pool failovers, shard scatter sub-batches and coalesced merge
-// passes all carry the originating request's id, so the daemon-side
-// stage breakdown of each leg lands on the one trace. Finished sampled
+// marks every nth request with a 64-bit trace id that rides in the
+// request's fixed tail (deadline budget, trace id, trace flags — written
+// on every request, zero when unused, so an unsampled request pays one
+// atomic load and three bytes on the wire). The id survives every
+// serving indirection: retried legs, hedged spares, pool failovers, shard
+// scatter sub-batches and coalesced merge passes all carry the
+// originating request's id, so the daemon-side stage breakdown of each
+// leg lands on the one trace. Finished sampled
 // spans feed a bounded top-N slow-query log (and, optionally, slog span
 // events via obs.SlogSpans).
 //

@@ -92,7 +92,7 @@ func pts(n int) []*big.Int {
 	return out
 }
 
-// TestParallelEvalOnePipelinedConnection hammers a single v2 connection
+// TestParallelEvalOnePipelinedConnection hammers a single connection
 // with concurrent EvalNodes calls and checks every answer against the
 // local reference — the in-flight requests must not cross wires.
 func TestParallelEvalOnePipelinedConnection(t *testing.T) {
@@ -102,9 +102,6 @@ func TestParallelEvalOnePipelinedConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.ProtocolVersion() < wire.Version2 {
-		t.Fatalf("negotiated v%d, want a pipelined version (v2+)", r.ProtocolVersion())
-	}
 
 	points := pts(3)
 	const goroutines = 16
@@ -177,7 +174,7 @@ func TestDaemonUnder100ConcurrentClients(t *testing.T) {
 	}
 }
 
-// fakeServer speaks the v2 handshake over an in-memory pipe and answers
+// fakeServer speaks the handshake over an in-memory pipe and answers
 // Eval requests only when released — deterministic mid-flight state for
 // cancellation tests.
 type fakeServer struct {
@@ -200,7 +197,7 @@ func (fs *fakeServer) run() {
 	if err != nil || f.Type != wire.MsgHello {
 		return
 	}
-	ack, err := wire.EncodeHelloAck(wire.HelloAck{Version: wire.Version2, Params: ring.MustFp(257).Params()})
+	ack, err := wire.EncodeHelloAck(wire.HelloAck{Version: wire.Version, Params: ring.MustFp(257).Params()})
 	if err != nil {
 		return
 	}
@@ -209,7 +206,7 @@ func (fs *fakeServer) run() {
 	}
 	released := false
 	for {
-		af, _, err := wire.ReadAny(fs.conn)
+		af, _, err := wire.ReadFrame(fs.conn)
 		if err != nil {
 			return
 		}
@@ -228,7 +225,7 @@ func (fs *fakeServer) run() {
 			for i, k := range req.Keys {
 				answers[i] = core.NodeEval{Key: k, Values: req.Points}
 			}
-			_, _ = wire.WriteFramed(fs.conn, wire.FramedFrame{
+			_, _ = wire.WriteFrame(fs.conn, wire.Frame{
 				Type:    wire.MsgEvalResp,
 				ReqID:   af.ReqID,
 				Payload: wire.EncodeEvalResp(wire.EvalResp{ID: req.ID, Answers: answers}),

@@ -31,7 +31,7 @@ import (
 // Prune is advisory, so replaying a request that may or may not have
 // executed cannot change any answer.
 //
-// Session resume: the handshake carries only the negotiated version and
+// Session resume: the handshake carries only the protocol version and
 // the public ring parameters, so a re-dialed session verifies the
 // announced parameters are byte-identical to the original's and is then
 // a perfect substitute. A parameter mismatch (the address now serves a

@@ -54,15 +54,9 @@ func CertifyIrreducible(r poly.Poly) error {
 	return fmt.Errorf("%w: %s (deg %d)", ErrCannotCertify, r, d)
 }
 
-// IrreducibleModP runs Rabin's irreducibility test on r reduced modulo a
+// irreducibleModP runs Rabin's irreducibility test on r reduced modulo a
 // prime p: r̄ of degree d is irreducible over F_p iff x^{p^d} ≡ x (mod r̄)
 // and gcd(x^{p^{d/q}} − x, r̄) = 1 for every prime divisor q of d.
-// Exported for the GF(p^e) extension-field construction (package gf).
-func IrreducibleModP(r poly.Poly, p *big.Int) bool {
-	return irreducibleModP(r, p)
-}
-
-// irreducibleModP is the internal implementation.
 func irreducibleModP(r poly.Poly, p *big.Int) bool {
 	f := r.ReduceCoeffs(p)
 	d := r.Degree()

@@ -30,9 +30,9 @@ type Store interface {
 }
 
 // DefaultWorkers is the per-connection bound on concurrently executing
-// requests for pipelined (protocol v2) sessions. Handlers spend time in
-// big-integer arithmetic and blocking writes, so a small multiple of the
-// core count keeps the pipe full without unbounded goroutine growth.
+// requests. Handlers spend time in big-integer arithmetic and blocking
+// writes, so a small multiple of the core count keeps the pipe full
+// without unbounded goroutine growth.
 const DefaultWorkers = 8
 
 // DefaultRetryAfterHint is the back-off hint a shed response carries when
@@ -49,12 +49,12 @@ const DefaultWriteStall = 5 * time.Second
 // Daemon serves the wire protocol over a listener, answering each
 // connection from a Local share store. One goroutine per connection.
 //
-// Protocol version 1 connections are handled in strict lockstep (one
-// request, one response) for backward compatibility. Version 2 connections
-// are pipelined: decoded requests are dispatched to a bounded worker pool
-// and responses are written as they complete — serialised writes,
-// out-of-order completion — so a single connection carries many in-flight
-// requests.
+// Connections are pipelined: decoded requests are dispatched to a bounded
+// worker pool and responses are written as they complete — serialised
+// writes, out-of-order completion — so a single connection carries many
+// in-flight requests. A Hello carrying any version other than
+// wire.Version is answered with a CodeUnsupportedVersion error and the
+// connection is closed.
 type Daemon struct {
 	logger   *log.Logger
 	counters *metrics.Counters
@@ -64,17 +64,15 @@ type Daemon struct {
 	// in-flight work finishes on the store it started on.
 	store atomic.Pointer[storeRef]
 
-	// Workers bounds concurrently executing requests per pipelined
-	// connection. Zero means DefaultWorkers. Set before Serve.
+	// Workers bounds concurrently executing requests per connection.
+	// Zero means DefaultWorkers. Set before Serve.
 	Workers int
 
 	// MaxInflight, when positive, bounds concurrently executing requests
 	// across the whole daemon — C connections × Workers otherwise grows
-	// without limit. When the bound is hit, protocol v3 sessions have
-	// excess requests shed immediately with a typed retryable error
-	// (CodeOverloaded plus a retry-after hint); older sessions, which
-	// cannot express a shed, queue for a slot instead. Zero disables the
-	// global bound. Set before Serve.
+	// without limit. When the bound is hit, excess requests are shed
+	// immediately with a typed retryable error (CodeOverloaded plus a
+	// retry-after hint). Zero disables the global bound. Set before Serve.
 	MaxInflight int
 
 	// RetryAfterHint is the back-off hint carried by shed responses.
@@ -86,9 +84,9 @@ type Daemon struct {
 	// consumer. Zero means DefaultWriteStall. Set before Serve.
 	WriteStall time.Duration
 
-	// Obs receives the daemon-side stage latencies (admission wait,
-	// dispatch, store eval, writer-queue residency) and the server spans
-	// of sampled requests. Nil means the process-wide obs.Default(). Set
+	// Obs receives the daemon-side stage latencies (dispatch, store
+	// eval, writer-queue residency) and the server spans of sampled
+	// requests. Nil means the process-wide obs.Default(). Set
 	// before Serve.
 	Obs *obs.Observer
 
@@ -123,10 +121,10 @@ type storeRef struct {
 }
 
 // daemonConn makes connection teardown idempotent and race-free: both the
-// per-connection serve goroutine (deferred cleanup) and a pipelined
-// response writer that hits a write error close the connection, and
-// Shutdown may force-close it concurrently — only the first Close reaches
-// the underlying connection.
+// per-connection serve goroutine (deferred cleanup) and the response
+// writer that hits a write error close the connection, and Shutdown may
+// force-close it concurrently — only the first Close reaches the
+// underlying connection.
 type daemonConn struct {
 	io.ReadWriteCloser
 	closeOnce sync.Once
@@ -402,8 +400,6 @@ func (d *Daemon) HandleConn(rwc io.ReadWriteCloser) error {
 		d.mu.Unlock()
 		conn.Close()
 	}()
-	// Handshake (always legacy framing; the negotiated version decides the
-	// framing of everything after the HelloAck).
 	if err := d.armRead(conn); err != nil {
 		return nil // draining before the handshake: nothing to wind down
 	}
@@ -421,19 +417,18 @@ func (d *Daemon) HandleConn(rwc io.ReadWriteCloser) error {
 	if err != nil {
 		return err
 	}
-	if hello.Version < wire.Version {
+	if hello.Version != wire.Version {
 		_, _ = wire.WriteFrame(conn, wire.Frame{
-			Type:    wire.MsgError,
-			Payload: wire.EncodeError(wire.ErrorMsg{Message: fmt.Sprintf("unsupported version %d", hello.Version)}),
+			Type: wire.MsgError,
+			Payload: wire.EncodeError(wire.ErrorMsg{
+				Message: fmt.Sprintf("unsupported version %d (server speaks %d)", hello.Version, wire.Version),
+				Code:    wire.CodeUnsupportedVersion,
+			}),
 		})
 		return fmt.Errorf("server: client version %d unsupported", hello.Version)
 	}
-	version := hello.Version
-	if version > wire.MaxVersion {
-		version = wire.MaxVersion
-	}
 	ackPayload, err := wire.EncodeHelloAck(wire.HelloAck{
-		Version: version,
+		Version: wire.Version,
 		Params:  d.Store().Ring().Params(),
 	})
 	if err != nil {
@@ -442,64 +437,7 @@ func (d *Daemon) HandleConn(rwc io.ReadWriteCloser) error {
 	if _, err := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgHelloAck, Payload: ackPayload}); err != nil {
 		return err
 	}
-	if version >= wire.Version2 {
-		return d.servePipelined(conn, version)
-	}
-	return d.serveStrict(conn)
-}
-
-// serveStrict is the v1 request loop: one request, one response, in order.
-func (d *Daemon) serveStrict(conn *daemonConn) error {
-	for {
-		if err := d.armRead(conn); err != nil {
-			if !errors.Is(err, errDraining) {
-				return err // connection already unusable, not a drain
-			}
-			return d.drainConn(conn, func() error {
-				_, werr := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgBye})
-				return werr
-			})
-		}
-		f, _, err := wire.ReadFrame(conn)
-		if err != nil {
-			err = d.classifyRead(err)
-			if errors.Is(err, errDraining) {
-				return d.drainConn(conn, func() error {
-					_, werr := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgBye})
-					return werr
-				})
-			}
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		if f.Type == wire.MsgBye {
-			return nil
-		}
-		// v1 sessions cannot express a shed, so under a global bound they
-		// queue for a slot instead (lockstep: at most one slot per conn).
-		arrival := time.Now()
-		if admit := d.admitCh(); admit != nil {
-			admit <- struct{}{}
-		}
-		admitWait := time.Since(arrival)
-		d.Observer().Observe(obs.StageAdmitWait, admitWait)
-		typ, payload, sp, err := d.dispatch(f.Type, f.Payload, arrival, wire.Version, admitWait, 0)
-		if admit := d.admitCh(); admit != nil {
-			<-admit
-		}
-		wire.PutBuf(f.Payload) // request fully decoded by dispatch
-		if err != nil {
-			return err
-		}
-		_, werr := wire.WriteFrame(conn, wire.Frame{Type: typ, Payload: payload})
-		wire.PutBuf(payload)
-		d.Observer().FinishSpan(sp)
-		if werr != nil {
-			return werr
-		}
-	}
+	return d.serve(conn)
 }
 
 // errSlowConsumer marks a connection torn down because its peer stopped
@@ -512,20 +450,20 @@ var errSlowConsumer = errors.New("server: slow consumer: write queue stalled")
 // request's response) and the server span to finish once the response is
 // on the socket.
 type respFrame struct {
-	frame wire.FramedFrame
+	frame wire.Frame
 	enq   time.Time
 	span  *obs.Span
 }
 
-// servePipelined is the v2/v3 request loop: decoded requests fan out to a
-// bounded worker pool (the per-connection accept queue); completed
+// serve is the request loop: decoded requests fan out to a bounded
+// worker pool (the per-connection accept queue); completed
 // responses flow through a bounded write queue drained by a dedicated
 // writer goroutine, so slow requests do not block fast ones behind them
 // and a peer that stops reading exerts backpressure on its own
 // connection only — and is disconnected once the queue stalls past
-// WriteStall. Under a MaxInflight bound, v3 sessions shed excess
-// requests with a typed retryable error instead of queueing.
-func (d *Daemon) servePipelined(conn *daemonConn, version uint32) error {
+// WriteStall. Under a MaxInflight bound, excess requests are shed with a
+// typed retryable error instead of queueing.
+func (d *Daemon) serve(conn *daemonConn) error {
 	workers := d.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers
@@ -553,7 +491,7 @@ func (d *Daemon) servePipelined(conn *daemonConn, version uint32) error {
 	go func() {
 		defer close(writerDone)
 		for r := range queue {
-			_, werr := wire.WriteFramed(conn, r.frame)
+			_, werr := wire.WriteFrame(conn, r.frame)
 			wire.PutBuf(r.frame.Payload)
 			if !r.enq.IsZero() {
 				res := time.Since(r.enq)
@@ -613,19 +551,19 @@ func (d *Daemon) servePipelined(conn *daemonConn, version uint32) error {
 			}
 			handlers.Wait()
 			return d.drainConn(conn, func() error {
-				enqueue(respFrame{frame: wire.FramedFrame{Type: wire.MsgBye}})
+				enqueue(respFrame{frame: wire.Frame{Type: wire.MsgBye}})
 				finish()
 				return connErr
 			})
 		}
-		f, _, err := wire.ReadAny(conn)
+		f, _, err := wire.ReadFrame(conn)
 		arrival := time.Now()
 		if err != nil {
 			err = d.classifyRead(err)
 			if errors.Is(err, errDraining) {
 				handlers.Wait()
 				return d.drainConn(conn, func() error {
-					enqueue(respFrame{frame: wire.FramedFrame{Type: wire.MsgBye}})
+					enqueue(respFrame{frame: wire.Frame{Type: wire.MsgBye}})
 					finish()
 					return connErr
 				})
@@ -645,12 +583,12 @@ func (d *Daemon) servePipelined(conn *daemonConn, version uint32) error {
 		}
 		sem <- struct{}{}
 		handlers.Add(1)
-		go func(f wire.AnyFrame) {
+		go func(f wire.Frame) {
 			defer handlers.Done()
 			defer func() { <-sem }()
-			typ, payload, sp := d.handleAdmitted(f, admit, version, arrival)
+			typ, payload, sp := d.handleAdmitted(f, admit, arrival)
 			enqueue(respFrame{
-				frame: wire.FramedFrame{Type: typ, ReqID: f.ReqID, Payload: payload},
+				frame: wire.Frame{Type: typ, ReqID: f.ReqID, Payload: payload},
 				enq:   time.Now(),
 				span:  sp,
 			})
@@ -658,45 +596,36 @@ func (d *Daemon) servePipelined(conn *daemonConn, version uint32) error {
 	}
 }
 
-// handleAdmitted runs one pipelined request through admission control and
-// dispatch, returning the response frame type and payload (on a pooled
+// handleAdmitted runs one request through admission control and dispatch,
+// returning the response frame type and payload (on a pooled
 // buffer) plus the request's server span (nil unless the request carried a
 // sampled trace). The global admission slot, when bounded, is held across
 // store dispatch only — never across the response enqueue/write, so a slow
 // consumer cannot pin daemon-wide capacity.
-func (d *Daemon) handleAdmitted(f wire.AnyFrame, admit chan struct{}, version uint32, arrival time.Time) (wire.MsgType, []byte, *obs.Span) {
+func (d *Daemon) handleAdmitted(f wire.Frame, admit chan struct{}, arrival time.Time) (wire.MsgType, []byte, *obs.Span) {
 	// Time spent between frame read and handler start: the wait for a
 	// per-connection worker slot.
 	dispatchWait := time.Since(arrival)
 	d.Observer().Observe(obs.StageDispatch, dispatchWait)
-	var admitWait time.Duration
 	if admit != nil {
-		if version >= wire.Version3 {
-			select {
-			case admit <- struct{}{}:
-			default:
-				// At capacity: shed before doing any work. The typed code
-				// tells the client the request is safe to retry, the hint
-				// tells it when.
-				d.counters.AddRequestsShed(1)
-				wire.PutBuf(f.Payload)
-				return wire.MsgError, wire.AppendError(wire.GetBuf(), wire.ErrorMsg{
-					ID:               f.ReqID,
-					Message:          "overloaded: shed by admission control",
-					Code:             wire.CodeOverloaded,
-					RetryAfterMillis: uint64(d.retryAfterHint() / time.Millisecond),
-				}), nil
-			}
-		} else {
-			// v2 sessions cannot express a shed: queue for a slot.
-			admitStart := time.Now()
-			admit <- struct{}{}
-			admitWait = time.Since(admitStart)
+		select {
+		case admit <- struct{}{}:
+		default:
+			// At capacity: shed before doing any work. The typed code
+			// tells the client the request is safe to retry, the hint
+			// tells it when.
+			d.counters.AddRequestsShed(1)
+			wire.PutBuf(f.Payload)
+			return wire.MsgError, wire.AppendError(wire.GetBuf(), wire.ErrorMsg{
+				ID:               f.ReqID,
+				Message:          "overloaded: shed by admission control",
+				Code:             wire.CodeOverloaded,
+				RetryAfterMillis: uint64(d.retryAfterHint() / time.Millisecond),
+			}), nil
 		}
 		defer func() { <-admit }()
 	}
-	d.Observer().Observe(obs.StageAdmitWait, admitWait)
-	typ, payload, sp, err := d.dispatch(f.Type, f.Payload, arrival, version, admitWait, dispatchWait)
+	typ, payload, sp, err := d.dispatch(f.Type, f.Payload, arrival, dispatchWait)
 	wire.PutBuf(f.Payload) // request fully decoded by dispatch
 	if err != nil {
 		// Malformed request: framing is length-prefixed so the
@@ -728,28 +657,28 @@ func (d *Daemon) drainConn(conn *daemonConn, sendBye func() error) error {
 //
 // The store ref is captured once per request, so a concurrent SwapStore
 // lets this request finish on the store it started on. arrival is when
-// the request's frame was read: a v3 request whose propagated deadline
+// the request's frame was read: a request whose propagated deadline
 // budget has already elapsed by dispatch time is skipped (the client has
 // stopped waiting) and answered with CodeDeadlineExpired instead of
 // burning worker time on an answer nobody will read.
 //
 // A request carrying a sampled trace gets a server span rooted at arrival,
-// credited with the pre-measured admission and dispatch waits, and — for
-// Eval — propagated into the store via context so a coalescing or sharded
-// store attributes its stages to the same trace. The span is returned for
+// credited with the pre-measured dispatch wait, and — for Eval —
+// propagated into the store via context so a coalescing or sharded store
+// attributes its stages to the same trace. The span is returned for
 // the caller (ultimately the response writer) to finish once the response
 // is on the socket.
-func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, version uint32, admitWait, dispatchWait time.Duration) (wire.MsgType, []byte, *obs.Span, error) {
+func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, dispatchWait time.Duration) (wire.MsgType, []byte, *obs.Span, error) {
 	store := d.Store()
 	obsv := d.Observer()
 	var sp *obs.Span
 	startSpan := func(op string, traceID uint64, sampled bool) {
 		if !sampled {
-			// The request arrived untraced (an unsampled or pre-v3
-			// client). The daemon is its own trace origin then: under
-			// obs.SetSampleEvery (sss-server -trace-sample) it samples
-			// arriving requests itself, so the server-side slow log
-			// fills without requiring instrumented clients.
+			// The request arrived untraced. The daemon is its own trace
+			// origin then: under obs.SetSampleEvery (sss-server
+			// -trace-sample) it samples arriving requests itself, so the
+			// server-side slow log fills without requiring instrumented
+			// clients.
 			tr := obs.NewTrace()
 			if !tr.Sampled {
 				return
@@ -757,14 +686,13 @@ func (d *Daemon) dispatch(typ wire.MsgType, payload []byte, arrival time.Time, v
 			traceID = tr.ID
 		}
 		sp = obs.StartSpanAt(op, obs.Trace{ID: traceID, Sampled: true}, arrival)
-		sp.Add(obs.StageAdmitWait, admitWait)
 		sp.Add(obs.StageDispatch, dispatchWait)
 	}
 	fail := func(id uint64, err error) (wire.MsgType, []byte, *obs.Span, error) {
 		return wire.MsgError, wire.AppendError(wire.GetBuf(), wire.ErrorMsg{ID: id, Message: err.Error()}), sp, nil
 	}
 	expired := func(id, timeoutMillis uint64) (wire.MsgType, []byte, bool) {
-		if version < wire.Version3 || timeoutMillis == 0 ||
+		if timeoutMillis == 0 ||
 			time.Since(arrival) < time.Duration(timeoutMillis)*time.Millisecond {
 			return 0, nil, false
 		}

@@ -96,7 +96,7 @@ func serveStore(t *testing.T, store Store, configure func(*Daemon)) (*Daemon, st
 }
 
 // TestDaemonShedsTypedError: with the sole admission slot held by a
-// parked request, a v3 session's next request must be shed immediately
+// parked request, a session's next request must be shed immediately
 // with the typed retryable error — code, retry-after hint and counter all
 // present — and the parked request must still answer correctly.
 func TestDaemonShedsTypedError(t *testing.T) {
@@ -110,9 +110,6 @@ func TestDaemonShedsTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.ProtocolVersion() < wire.Version3 {
-		t.Fatalf("negotiated v%d, want v3 for typed shedding", r.ProtocolVersion())
-	}
 
 	type evalRes struct {
 		answers []core.NodeEval
@@ -157,42 +154,6 @@ func TestDaemonShedsTypedError(t *testing.T) {
 	}
 	if res.answers[0].Values[0].Cmp(want[0].Values[0]) != 0 {
 		t.Fatal("parked request's answer differs from reference")
-	}
-}
-
-// TestDaemonV1AdmissionQueues: pre-v3 sessions cannot express a shed, so
-// under a global bound they queue for a slot instead — every call from
-// concurrent v1 clients must succeed, just serialised.
-func TestDaemonV1AdmissionQueues(t *testing.T) {
-	local, keys := buildLocalStore(t)
-	_, addr := serveStore(t, local, func(d *Daemon) { d.MaxInflight = 1 })
-	points := []*big.Int{big.NewInt(3)}
-
-	const clients = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			r, err := client.DialVersion(addr, wire.Version, nil)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer r.Close()
-			for i := 0; i < 5; i++ {
-				if _, err := r.EvalNodes(keys[(c+i)%len(keys):(c+i)%len(keys)+1], points); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("v1 client under MaxInflight=1: %v (must queue, never fail)", err)
 	}
 }
 
@@ -349,7 +310,7 @@ func TestSlowConsumerDisconnected(t *testing.T) {
 	go func() { served <- d.HandleConn(srv) }()
 
 	// Handshake, then flood requests and never read a response.
-	if _, err := wire.WriteFrame(cli, wire.Frame{Type: wire.MsgHello, Payload: wire.EncodeHello(wire.Hello{Version: wire.MaxVersion})}); err != nil {
+	if _, err := wire.WriteFrame(cli, wire.Frame{Type: wire.MsgHello, Payload: wire.EncodeHello(wire.Hello{Version: wire.Version})}); err != nil {
 		t.Fatal(err)
 	}
 	ack, _, err := wire.ReadFrame(cli)
@@ -360,7 +321,7 @@ func TestSlowConsumerDisconnected(t *testing.T) {
 	go func() {
 		for i := uint64(1); i < 64; i++ {
 			payload := wire.EncodeEvalReq(wire.EvalReq{ID: i, Keys: keys[:1], Points: points})
-			if _, err := wire.WriteFramed(cli, wire.FramedFrame{Type: wire.MsgEval, ReqID: i, Payload: payload}); err != nil {
+			if _, err := wire.WriteFrame(cli, wire.Frame{Type: wire.MsgEval, ReqID: i, Payload: payload}); err != nil {
 				return // connection cut, as expected
 			}
 		}
@@ -379,9 +340,9 @@ func TestSlowConsumerDisconnected(t *testing.T) {
 	}
 }
 
-// TestDispatchDeadlineSkip: a v3 request whose propagated budget elapsed
+// TestDispatchDeadlineSkip: a request whose propagated budget elapsed
 // before dispatch is answered with CodeDeadlineExpired without touching
-// the store; a live budget and a pre-v3 session dispatch normally.
+// the store; a live budget dispatches normally.
 func TestDispatchDeadlineSkip(t *testing.T) {
 	local, keys := buildLocalStore(t)
 	counted := &countingStore{Store: local}
@@ -389,8 +350,8 @@ func TestDispatchDeadlineSkip(t *testing.T) {
 	points := []*big.Int{big.NewInt(3)}
 	payload := wire.EncodeEvalReq(wire.EvalReq{ID: 7, Keys: keys[:1], Points: points, TimeoutMillis: 10})
 
-	// Budget elapsed on a v3 session: skip, typed error, counter, no store call.
-	typ, resp, _, err := d.dispatch(wire.MsgEval, payload, time.Now().Add(-50*time.Millisecond), wire.Version3, 0, 0)
+	// Budget elapsed: skip, typed error, counter, no store call.
+	typ, resp, _, err := d.dispatch(wire.MsgEval, payload, time.Now().Add(-50*time.Millisecond), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,16 +373,11 @@ func TestDispatchDeadlineSkip(t *testing.T) {
 	}
 
 	// Live budget: dispatches normally.
-	typ, _, _, err = d.dispatch(wire.MsgEval, payload, time.Now(), wire.Version3, 0, 0)
+	typ, _, _, err = d.dispatch(wire.MsgEval, payload, time.Now(), 0)
 	if err != nil || typ != wire.MsgEvalResp {
 		t.Fatalf("live dispatch = %v, %v; want an EvalResp", typ, err)
 	}
-	// Pre-v3 session: the budget field is ignored even when elapsed.
-	typ, _, _, err = d.dispatch(wire.MsgEval, payload, time.Now().Add(-50*time.Millisecond), wire.Version2, 0, 0)
-	if err != nil || typ != wire.MsgEvalResp {
-		t.Fatalf("v2 dispatch = %v, %v; want an EvalResp (no deadline semantics)", typ, err)
-	}
-	if counted.calls.Load() != 2 {
-		t.Fatalf("store calls = %d, want 2", counted.calls.Load())
+	if counted.calls.Load() != 1 {
+		t.Fatalf("store calls = %d, want 1", counted.calls.Load())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"time"
 
@@ -23,13 +24,26 @@ func EncodeHello(h Hello) []byte {
 	return binary.AppendUvarint(nil, uint64(h.Version))
 }
 
+// decodeVersion parses the leading version varint of a Hello or HelloAck,
+// rejecting values wider than 32 bits rather than truncating them.
+func decodeVersion(data []byte, what string) (uint32, []byte, error) {
+	v, k := binary.Uvarint(data)
+	if k <= 0 || v > math.MaxUint32 {
+		return 0, nil, errors.New("wire: bad " + what)
+	}
+	return uint32(v), data[k:], nil
+}
+
 // DecodeHello unmarshals a Hello payload.
 func DecodeHello(data []byte) (Hello, error) {
-	v, k := binary.Uvarint(data)
-	if k <= 0 {
-		return Hello{}, errors.New("wire: bad hello")
+	v, rest, err := decodeVersion(data, "hello")
+	if err != nil {
+		return Hello{}, err
 	}
-	return Hello{Version: uint32(v)}, nil
+	if len(rest) != 0 {
+		return Hello{}, errors.New("wire: trailing bytes in hello")
+	}
+	return Hello{Version: v}, nil
 }
 
 // HelloAck is the server's session acceptance: protocol version plus the
@@ -51,66 +65,24 @@ func EncodeHelloAck(h HelloAck) ([]byte, error) {
 
 // DecodeHelloAck unmarshals a HelloAck payload.
 func DecodeHelloAck(data []byte) (HelloAck, error) {
-	v, k := binary.Uvarint(data)
-	if k <= 0 {
-		return HelloAck{}, errors.New("wire: bad hello ack")
+	v, rest, err := decodeVersion(data, "hello ack")
+	if err != nil {
+		return HelloAck{}, err
 	}
-	params, rest, err := ring.DecodeParams(data[k:])
+	params, rest, err := ring.DecodeParams(rest)
 	if err != nil {
 		return HelloAck{}, err
 	}
 	if len(rest) != 0 {
 		return HelloAck{}, errors.New("wire: trailing bytes in hello ack")
 	}
-	return HelloAck{Version: uint32(v), Params: params}, nil
+	return HelloAck{Version: v, Params: params}, nil
 }
 
-// decodeTail parses the optional trailing varints of a v3 request
-// payload. Three encodings, distinguished purely by remaining length:
-// empty rest is the v2 form (no deadline, no trace); exactly one varint
-// is the deadline budget alone (the PR 8 v3 form); three varints are
-// deadline + trace ID + trace flags (bit 0 = sampled). Anything else is
-// malformed.
-func decodeTail(rest []byte, what string) (millis, traceID uint64, sampled bool, err error) {
-	if len(rest) == 0 {
-		return 0, 0, false, nil
-	}
-	bad := func() (uint64, uint64, bool, error) {
-		return 0, 0, false, errors.New("wire: trailing bytes in " + what)
-	}
-	millis, k := binary.Uvarint(rest)
-	if k <= 0 {
-		return bad()
-	}
-	rest = rest[k:]
-	if len(rest) == 0 {
-		return millis, 0, false, nil
-	}
-	traceID, k = binary.Uvarint(rest)
-	if k <= 0 {
-		return bad()
-	}
-	rest = rest[k:]
-	flags, k := binary.Uvarint(rest)
-	if k <= 0 || k != len(rest) {
-		return bad()
-	}
-	return millis, traceID, flags&1 != 0, nil
-}
-
-// appendTail appends the optional deadline budget and trace context.
-// With no trace, a zero budget keeps the v2 encoding byte-identical and
-// a nonzero one appends the single PR 8 varint. With a trace, the budget
-// varint is always written — even when zero — so the decoder can tell
-// the forms apart by length; extended requests only ever reach peers
-// that negotiated version 3.
+// appendTail appends the fixed tail every Eval, Fetch and Prune request
+// ends with: the deadline budget in milliseconds (0 = none), the trace ID
+// and the trace flags (bit 0 = sampled), as three varints.
 func appendTail(dst []byte, millis, traceID uint64, sampled bool) []byte {
-	if traceID == 0 && !sampled {
-		if millis == 0 {
-			return dst
-		}
-		return binary.AppendUvarint(dst, millis)
-	}
 	dst = binary.AppendUvarint(dst, millis)
 	dst = binary.AppendUvarint(dst, traceID)
 	var flags uint64
@@ -120,6 +92,22 @@ func appendTail(dst []byte, millis, traceID uint64, sampled bool) []byte {
 	return binary.AppendUvarint(dst, flags)
 }
 
+// decodeTail parses the request tail, which must end the payload exactly.
+func decodeTail(rest []byte, what string) (millis, traceID uint64, sampled bool, err error) {
+	var v [3]uint64
+	for i := range v {
+		x, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return 0, 0, false, errors.New("wire: bad request tail in " + what)
+		}
+		v[i], rest = x, rest[k:]
+	}
+	if len(rest) != 0 {
+		return 0, 0, false, errors.New("wire: trailing bytes in " + what)
+	}
+	return v[0], v[1], v[2]&1 != 0, nil
+}
+
 // EvalReq asks for evaluations of keys at points.
 type EvalReq struct {
 	ID     uint64
@@ -127,18 +115,16 @@ type EvalReq struct {
 	Points []*big.Int
 
 	// TimeoutMillis is the client's remaining deadline budget when the
-	// request was sent (protocol v3; 0 = no deadline). The server skips
+	// request was sent (0 = no deadline). The server skips
 	// work whose budget has already elapsed instead of computing answers
 	// nobody will read. A relative budget rather than an absolute
 	// timestamp, so peers need no clock agreement.
 	TimeoutMillis uint64
 
 	// TraceID and TraceSampled carry the sampled trace context of the
-	// logical query this request belongs to (protocol v3; zero = not
-	// traced). Hedged, retried and coalesced legs of one query share a
-	// trace ID, so a daemon's slow-query log correlates with the
-	// client's. Only sampled requests carry the extension, keeping
-	// unsampled frames byte-identical to PR 8 v3.
+	// logical query this request belongs to (zero = not traced). Hedged,
+	// retried and coalesced legs of one query share a trace ID, so a
+	// daemon's slow-query log correlates with the client's.
 	TraceID      uint64
 	TraceSampled bool
 }
@@ -241,12 +227,12 @@ type FetchReq struct {
 	ID   uint64
 	Keys []drbg.NodeKey
 
-	// TimeoutMillis is the remaining deadline budget (protocol v3;
-	// 0 = no deadline). See EvalReq.TimeoutMillis.
+	// TimeoutMillis is the remaining deadline budget (0 = no deadline).
+	// See EvalReq.TimeoutMillis.
 	TimeoutMillis uint64
 
-	// TraceID and TraceSampled carry the sampled trace context
-	// (protocol v3; zero = not traced). See EvalReq.TraceID.
+	// TraceID and TraceSampled carry the sampled trace context (zero =
+	// not traced). See EvalReq.TraceID.
 	TraceID      uint64
 	TraceSampled bool
 }
@@ -359,12 +345,12 @@ type PruneReq struct {
 	ID   uint64
 	Keys []drbg.NodeKey
 
-	// TimeoutMillis is the remaining deadline budget (protocol v3;
-	// 0 = no deadline). See EvalReq.TimeoutMillis.
+	// TimeoutMillis is the remaining deadline budget (0 = no deadline).
+	// See EvalReq.TimeoutMillis.
 	TimeoutMillis uint64
 
-	// TraceID and TraceSampled carry the sampled trace context
-	// (protocol v3; zero = not traced). See EvalReq.TraceID.
+	// TraceID and TraceSampled carry the sampled trace context (zero =
+	// not traced). See EvalReq.TraceID.
 	TraceID      uint64
 	TraceSampled bool
 }
@@ -409,6 +395,9 @@ func DecodeAck(data []byte) (uint64, error) {
 	if k <= 0 {
 		return 0, errors.New("wire: bad ack")
 	}
+	if k != len(data) {
+		return 0, errors.New("wire: trailing bytes in ack")
+	}
 	return id, nil
 }
 
@@ -417,8 +406,7 @@ func DecodeAck(data []byte) (uint64, error) {
 type ErrCode uint32
 
 const (
-	// CodeGeneric is an unclassified semantic failure — the v2 behaviour.
-	// Not retryable: replaying the identical request yields the identical
+	// CodeGeneric is an unclassified semantic failure. Not retryable: replaying the identical request yields the identical
 	// error.
 	CodeGeneric ErrCode = 0
 	// CodeOverloaded means the daemon shed the request before doing any
@@ -430,23 +418,20 @@ const (
 	// skipped. The client has invariably stopped waiting; not retryable
 	// on its own (the caller's context governs).
 	CodeDeadlineExpired ErrCode = 2
+	// CodeUnsupportedVersion answers a Hello carrying a version other than
+	// Version; the daemon closes the connection after sending it.
+	CodeUnsupportedVersion ErrCode = 3
 )
 
-// ErrorMsg reports a server-side failure for a request. Code and
-// RetryAfterMillis are protocol v3 extensions carried as trailing
-// varints: a v3 decoder accepts the bare v2 encoding (both default to
-// zero), and AppendError omits them when they are both zero so sessions
-// negotiated at v2 or lower never see the extension bytes — shedding
-// daemons must therefore only set them on v3 sessions.
+// ErrorMsg reports a server-side failure for a request.
 type ErrorMsg struct {
 	ID      uint64
 	Message string
 
-	// Code classifies the failure (protocol v3; 0 = CodeGeneric).
+	// Code classifies the failure (0 = CodeGeneric).
 	Code ErrCode
 	// RetryAfterMillis hints how long a shed client should back off
-	// before retrying (protocol v3; 0 = no hint). Only meaningful with
-	// CodeOverloaded.
+	// before retrying (0 = no hint). Only meaningful with CodeOverloaded.
 	RetryAfterMillis uint64
 }
 
@@ -457,14 +442,11 @@ func EncodeError(e ErrorMsg) []byte { return AppendError(nil, e) }
 func AppendError(dst []byte, e ErrorMsg) []byte {
 	dst = binary.AppendUvarint(dst, e.ID)
 	dst = AppendString(dst, e.Message)
-	if e.Code == CodeGeneric && e.RetryAfterMillis == 0 {
-		return dst
-	}
 	dst = binary.AppendUvarint(dst, uint64(e.Code))
 	return binary.AppendUvarint(dst, e.RetryAfterMillis)
 }
 
-// DecodeError unmarshals an ErrorMsg payload (v2 or v3 encoding).
+// DecodeError unmarshals an ErrorMsg payload.
 func DecodeError(data []byte) (ErrorMsg, error) {
 	id, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -474,21 +456,18 @@ func DecodeError(data []byte) (ErrorMsg, error) {
 	if err != nil {
 		return ErrorMsg{}, err
 	}
-	out := ErrorMsg{ID: id, Message: msg}
-	if len(rest) == 0 {
-		return out, nil
-	}
 	code, k := binary.Uvarint(rest)
-	if k <= 0 {
+	if k <= 0 || code > math.MaxUint32 {
 		return ErrorMsg{}, errors.New("wire: bad error code")
 	}
 	retry, k2 := binary.Uvarint(rest[k:])
-	if k2 <= 0 || k+k2 != len(rest) {
+	if k2 <= 0 {
+		return ErrorMsg{}, errors.New("wire: bad retry-after")
+	}
+	if k+k2 != len(rest) {
 		return ErrorMsg{}, errors.New("wire: trailing bytes in error message")
 	}
-	out.Code = ErrCode(code)
-	out.RetryAfterMillis = retry
-	return out, nil
+	return ErrorMsg{ID: id, Message: msg, Code: ErrCode(code), RetryAfterMillis: retry}, nil
 }
 
 // RemoteError is the client-side surfacing of a server ErrorMsg.
@@ -506,6 +485,8 @@ func (e *RemoteError) Error() string {
 		return fmt.Sprintf("wire: server overloaded (req %d, shed): %s", e.ID, e.Message)
 	case CodeDeadlineExpired:
 		return fmt.Sprintf("wire: server skipped expired request %d: %s", e.ID, e.Message)
+	case CodeUnsupportedVersion:
+		return fmt.Sprintf("wire: server rejected the protocol version: %s", e.Message)
 	default:
 		return fmt.Sprintf("wire: server error (req %d): %s", e.ID, e.Message)
 	}

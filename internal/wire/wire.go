@@ -3,18 +3,10 @@
 // evaluation requests, scalar answers, polynomial fetches and prune
 // notices.
 //
-// Frame layout (big-endian):
-//
-//	magic   uint16  0x5353 ("SS")
-//	type    uint8
-//	length  uint32  payload byte count
-//	payload length bytes
-//	crc32   uint32  IEEE CRC over type byte + payload
-//
-// Protocol version 2 adds a pipelined variant that carries the request ID
-// in the frame header, so a connection can have many requests in flight
-// and responses can complete out of order without the transport decoding
-// payloads to route them:
+// Every frame carries a request ID in its header, so a connection can
+// have many requests in flight and responses can complete out of order
+// without the transport decoding payloads to route them. Frame layout
+// (big-endian):
 //
 //	magic   uint16  0x5350 ("SP")
 //	type    uint8
@@ -23,9 +15,9 @@
 //	payload length bytes
 //	crc32   uint32  IEEE CRC over type byte + reqid + payload
 //
-// The two formats are distinguished by magic; ReadAny decodes either, so
-// a v2 endpoint remains backward compatible with the strict
-// request/response v1 framing.
+// A session opens with a Hello carrying Version; the server answers with
+// a HelloAck, or with an ErrorMsg coded CodeUnsupportedVersion and a
+// closed connection. There is no negotiation beyond that accept-or-reject.
 //
 // All payload integers are unsigned LEB128 varints unless stated otherwise.
 package wire
@@ -41,30 +33,13 @@ import (
 	"sssearch/internal/drbg"
 )
 
-// Magic identifies legacy (strict request/response) protocol frames.
-const Magic uint16 = 0x5353
+// Magic identifies protocol frames.
+const Magic uint16 = 0x5350
 
-// FramedMagic identifies pipelined frames carrying a request ID in the
-// header (protocol version 2).
-const FramedMagic uint16 = 0x5350
-
-// Version is the original strict request/response protocol version.
-const Version uint32 = 1
-
-// Version2 is the pipelined protocol version: after the handshake both
-// sides speak framed (request-ID) frames and may interleave requests.
-const Version2 uint32 = 2
-
-// Version3 is the overload-protection protocol version. The framing is
-// unchanged from version 2; the payloads grow optional trailing fields —
-// a per-request deadline budget on Eval/Fetch/Prune requests and a typed
-// error code plus retry-after hint on ErrorMsg — all encoded as trailing
-// varints, so a v3 decoder accepts v2 payloads unchanged and a v3 peer
-// simply omits the extensions when the negotiated session is older.
-const Version3 uint32 = 3
-
-// MaxVersion is the highest protocol version this build speaks.
-const MaxVersion = Version3
+// Version is the protocol version a Hello must carry. Requests carry a
+// deadline budget and trace context; errors carry a typed code and a
+// retry-after hint.
+const Version uint32 = 3
 
 // MaxFrameSize bounds a single frame's payload (16 MiB).
 const MaxFrameSize = 16 << 20
@@ -90,7 +65,8 @@ const (
 	MsgPrune MsgType = 7
 	// MsgAck acknowledges MsgPrune: varint id.
 	MsgAck MsgType = 8
-	// MsgError reports a server-side failure: varint id, string message.
+	// MsgError reports a server-side failure: varint id, string message,
+	// varint code, varint retry-after.
 	MsgError MsgType = 9
 	// MsgBye closes the session gracefully.
 	MsgBye MsgType = 10
@@ -123,9 +99,11 @@ func (t MsgType) String() string {
 	}
 }
 
-// Frame is one protocol message.
+// Frame is one protocol message: its type, the request ID it belongs to
+// and its payload.
 type Frame struct {
 	Type    MsgType
+	ReqID   uint64
 	Payload []byte
 }
 
@@ -138,15 +116,31 @@ var (
 	ErrChecksum = errors.New("wire: checksum mismatch")
 )
 
-// writeChunks writes header, payload and CRC tail. Frames that fit a
-// pooled buffer are assembled and written in ONE w.Write call — one
-// syscall and no retained header allocation; oversized frames fall back
-// to chunked writes.
-func writeChunks(w io.Writer, header []byte, payload []byte, tail [4]byte) (int, error) {
-	if len(header)+len(payload)+4 <= maxPooledBuf {
+// headerLen is magic(2) + type(1) + reqid(8) + length(4).
+const headerLen = 15
+
+// WriteFrame writes one frame to w. It returns the number of bytes
+// written. Frames that fit a pooled buffer are assembled and written in
+// ONE w.Write call — one syscall and no retained header allocation;
+// oversized frames fall back to chunked writes.
+func WriteFrame(w io.Writer, f Frame) (int, error) {
+	if len(f.Payload) > MaxFrameSize {
+		return 0, ErrFrameTooLarge
+	}
+	var header [headerLen]byte
+	binary.BigEndian.PutUint16(header[0:2], Magic)
+	header[2] = byte(f.Type)
+	binary.BigEndian.PutUint64(header[3:11], f.ReqID)
+	binary.BigEndian.PutUint32(header[11:15], uint32(len(f.Payload)))
+	crc := crc32.NewIEEE()
+	crc.Write(header[2:11])
+	crc.Write(f.Payload)
+	var tail [4]byte
+	binary.BigEndian.PutUint32(tail[:], crc.Sum32())
+	if headerLen+len(f.Payload)+4 <= maxPooledBuf {
 		buf := GetBuf()
-		buf = append(buf, header...)
-		buf = append(buf, payload...)
+		buf = append(buf, header[:]...)
+		buf = append(buf, f.Payload...)
 		buf = append(buf, tail[:]...)
 		n, err := w.Write(buf)
 		PutBuf(buf)
@@ -156,7 +150,7 @@ func writeChunks(w io.Writer, header []byte, payload []byte, tail [4]byte) (int,
 		return n, nil
 	}
 	total := 0
-	for _, chunk := range [][]byte{header, payload, tail[:]} {
+	for _, chunk := range [][]byte{header[:], f.Payload, tail[:]} {
 		n, err := w.Write(chunk)
 		total += n
 		if err != nil {
@@ -166,152 +160,44 @@ func writeChunks(w io.Writer, header []byte, payload []byte, tail [4]byte) (int,
 	return total, nil
 }
 
-// WriteFrame writes one frame to w. It returns the number of bytes written.
-func WriteFrame(w io.Writer, f Frame) (int, error) {
-	if len(f.Payload) > MaxFrameSize {
-		return 0, ErrFrameTooLarge
-	}
-	var header [7]byte
-	binary.BigEndian.PutUint16(header[0:2], Magic)
-	header[2] = byte(f.Type)
-	binary.BigEndian.PutUint32(header[3:7], uint32(len(f.Payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(header[2:3])
-	crc.Write(f.Payload)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc.Sum32())
-	return writeChunks(w, header[:], f.Payload, tail)
-}
-
-// ReadFrame reads one legacy frame from r. It returns the frame and the
-// number of bytes consumed.
+// ReadFrame reads one frame from r. It returns the frame and the number
+// of bytes consumed. The payload is a pooled buffer: callers that fully
+// decode it may hand it back via PutBuf; callers that retain it simply
+// never do.
 func ReadFrame(r io.Reader) (Frame, int, error) {
-	var magic [2]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
+	var header [headerLen]byte
+	if _, err := io.ReadFull(r, header[:2]); err != nil {
 		return Frame{}, 0, err
 	}
-	if binary.BigEndian.Uint16(magic[:]) != Magic {
-		return Frame{}, 7, ErrBadMagic
+	if binary.BigEndian.Uint16(header[:2]) != Magic {
+		return Frame{}, 2, ErrBadMagic
 	}
-	f, n, err := readLegacyBody(r)
-	return f, 2 + n, err
-}
-
-// readLegacyBody reads a legacy frame after its magic word, returning the
-// bytes consumed past the magic.
-func readLegacyBody(r io.Reader) (Frame, int, error) {
-	rest := make([]byte, 5) // type + length
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return Frame{}, 0, fmt.Errorf("wire: reading header: %w", err)
+	if _, err := io.ReadFull(r, header[2:]); err != nil {
+		return Frame{}, 2, fmt.Errorf("wire: reading header: %w", err)
 	}
-	length := binary.BigEndian.Uint32(rest[1:5])
+	length := binary.BigEndian.Uint32(header[11:15])
 	if length > MaxFrameSize {
-		return Frame{}, 5, ErrFrameTooLarge
+		return Frame{}, headerLen, ErrFrameTooLarge
 	}
-	// Pooled payload: callers that fully decode it may hand it back via
-	// PutBuf; callers that retain it (handshake params) simply never do.
 	payload := GetPayload(int(length))
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, 5, fmt.Errorf("wire: reading payload: %w", err)
+		return Frame{}, headerLen, fmt.Errorf("wire: reading payload: %w", err)
 	}
 	var tail [4]byte
 	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return Frame{}, 5 + int(length), fmt.Errorf("wire: reading checksum: %w", err)
+		return Frame{}, headerLen + int(length), fmt.Errorf("wire: reading checksum: %w", err)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(rest[0:1])
-	crc.Write(payload)
-	if crc.Sum32() != binary.BigEndian.Uint32(tail[:]) {
-		return Frame{}, 9 + int(length), ErrChecksum
-	}
-	return Frame{Type: MsgType(rest[0]), Payload: payload}, 9 + int(length), nil
-}
-
-// FramedFrame is one pipelined (version 2) protocol message: a frame plus
-// the request ID it belongs to, carried in the header so responses can be
-// routed without decoding payloads.
-type FramedFrame struct {
-	Type    MsgType
-	ReqID   uint64
-	Payload []byte
-}
-
-// framedHeaderLen is magic(2) + type(1) + reqid(8) + length(4).
-const framedHeaderLen = 15
-
-// WriteFramed writes one pipelined frame to w. It returns the number of
-// bytes written.
-func WriteFramed(w io.Writer, f FramedFrame) (int, error) {
-	if len(f.Payload) > MaxFrameSize {
-		return 0, ErrFrameTooLarge
-	}
-	var header [framedHeaderLen]byte
-	binary.BigEndian.PutUint16(header[0:2], FramedMagic)
-	header[2] = byte(f.Type)
-	binary.BigEndian.PutUint64(header[3:11], f.ReqID)
-	binary.BigEndian.PutUint32(header[11:15], uint32(len(f.Payload)))
 	crc := crc32.NewIEEE()
 	crc.Write(header[2:11])
-	crc.Write(f.Payload)
-	var tail [4]byte
-	binary.BigEndian.PutUint32(tail[:], crc.Sum32())
-	return writeChunks(w, header[:], f.Payload, tail)
-}
-
-// AnyFrame is the result of ReadAny: a message in either framing. Framed
-// reports which format was on the wire; ReqID is zero for legacy frames
-// (their correlation ID, if any, lives in the payload).
-type AnyFrame struct {
-	Type    MsgType
-	ReqID   uint64
-	Framed  bool
-	Payload []byte
-}
-
-// ReadAny reads one frame in either the legacy or the pipelined format,
-// dispatching on the magic. It returns the frame and the number of bytes
-// consumed.
-func ReadAny(r io.Reader) (AnyFrame, int, error) {
-	var magic [2]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return AnyFrame{}, 0, err
+	crc.Write(payload)
+	if crc.Sum32() != binary.BigEndian.Uint32(tail[:]) {
+		return Frame{}, headerLen + 4 + int(length), ErrChecksum
 	}
-	switch binary.BigEndian.Uint16(magic[:]) {
-	case Magic:
-		f, n, err := readLegacyBody(r)
-		return AnyFrame{Type: f.Type, Payload: f.Payload}, 2 + n, err
-	case FramedMagic:
-		rest := make([]byte, framedHeaderLen-2) // type + reqid + length
-		if _, err := io.ReadFull(r, rest); err != nil {
-			return AnyFrame{}, 2, fmt.Errorf("wire: reading framed header: %w", err)
-		}
-		length := binary.BigEndian.Uint32(rest[9:13])
-		if length > MaxFrameSize {
-			return AnyFrame{}, framedHeaderLen, ErrFrameTooLarge
-		}
-		payload := GetPayload(int(length))
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return AnyFrame{}, framedHeaderLen, fmt.Errorf("wire: reading payload: %w", err)
-		}
-		var tail [4]byte
-		if _, err := io.ReadFull(r, tail[:]); err != nil {
-			return AnyFrame{}, framedHeaderLen + int(length), fmt.Errorf("wire: reading checksum: %w", err)
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(rest[0:9])
-		crc.Write(payload)
-		if crc.Sum32() != binary.BigEndian.Uint32(tail[:]) {
-			return AnyFrame{}, framedHeaderLen + 4 + int(length), ErrChecksum
-		}
-		return AnyFrame{
-			Type:    MsgType(rest[0]),
-			ReqID:   binary.BigEndian.Uint64(rest[1:9]),
-			Framed:  true,
-			Payload: payload,
-		}, framedHeaderLen + 4 + int(length), nil
-	default:
-		return AnyFrame{}, 2, ErrBadMagic
-	}
+	return Frame{
+		Type:    MsgType(header[2]),
+		ReqID:   binary.BigEndian.Uint64(header[3:11]),
+		Payload: payload,
+	}, headerLen + 4 + int(length), nil
 }
 
 // --- payload codecs -------------------------------------------------------

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/big"
 	"testing"
 	"time"
@@ -16,13 +17,17 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	frames := []Frame{
 		{Type: MsgHello, Payload: []byte{1, 2, 3}},
-		{Type: MsgBye, Payload: nil},
-		{Type: MsgEval, Payload: bytes.Repeat([]byte{0xAB}, 10000)},
+		{Type: MsgBye, ReqID: 1<<64 - 1, Payload: nil},
+		{Type: MsgEval, ReqID: 42, Payload: bytes.Repeat([]byte{0xAB}, 10000)},
+		{Type: MsgFetchResp, ReqID: 7, Payload: bytes.Repeat([]byte{0xCD}, maxPooledBuf)},
 	}
 	for _, f := range frames {
 		wn, err := WriteFrame(&buf, f)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if wn != headerLen+len(f.Payload)+4 {
+			t.Errorf("wrote %d bytes for a %d-byte payload", wn, len(f.Payload))
 		}
 		got, rn, err := ReadFrame(&buf)
 		if err != nil {
@@ -31,7 +36,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if wn != rn {
 			t.Errorf("wrote %d read %d bytes", wn, rn)
 		}
-		if got.Type != f.Type || !bytes.Equal(got.Payload, f.Payload) {
+		if got.Type != f.Type || got.ReqID != f.ReqID || !bytes.Equal(got.Payload, f.Payload) {
 			t.Errorf("frame changed in transit")
 		}
 	}
@@ -39,15 +44,21 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, Frame{Type: MsgEval, Payload: []byte("hello")}); err != nil {
+	if _, err := WriteFrame(&buf, Frame{Type: MsgEval, ReqID: 3, Payload: []byte("hello")}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	// Flip a payload byte → checksum failure.
 	bad := append([]byte(nil), raw...)
-	bad[8] ^= 0xFF
+	bad[headerLen+1] ^= 0xFF
 	if _, _, err := ReadFrame(bytes.NewReader(bad)); err != ErrChecksum {
 		t.Errorf("corrupted payload: err = %v, want ErrChecksum", err)
+	}
+	// Flip a request-ID byte → the CRC covers the header too.
+	badID := append([]byte(nil), raw...)
+	badID[5] ^= 0x01
+	if _, _, err := ReadFrame(bytes.NewReader(badID)); err != ErrChecksum {
+		t.Errorf("corrupted request ID: err = %v, want ErrChecksum", err)
 	}
 	// Bad magic.
 	bad2 := append([]byte(nil), raw...)
@@ -59,12 +70,15 @@ func TestFrameCorruption(t *testing.T) {
 	if _, _, err := ReadFrame(bytes.NewReader(raw[:5])); err == nil {
 		t.Error("truncated header accepted")
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(raw[:9])); err == nil {
+	if _, _, err := ReadFrame(bytes.NewReader(raw[:headerLen+2])); err == nil {
 		t.Error("truncated payload accepted")
 	}
+	if _, _, err := ReadFrame(bytes.NewReader(raw[:len(raw)-1])); err == nil {
+		t.Error("truncated checksum accepted")
+	}
 	// Oversized frame declared in header.
-	huge := append([]byte(nil), raw[:7]...)
-	huge[3], huge[4], huge[5], huge[6] = 0xFF, 0xFF, 0xFF, 0xFF
+	huge := append([]byte(nil), raw[:headerLen]...)
+	huge[11], huge[12], huge[13], huge[14] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, _, err := ReadFrame(bytes.NewReader(huge)); err != ErrFrameTooLarge {
 		t.Errorf("oversized frame: err = %v", err)
 	}
@@ -145,7 +159,7 @@ func TestHelloMessages(t *testing.T) {
 		t.Fatal("hello round trip failed")
 	}
 	params := ring.MustFp(101).Params()
-	payload, err := EncodeHelloAck(HelloAck{Version: 1, Params: params})
+	payload, err := EncodeHelloAck(HelloAck{Version: Version, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,17 +167,46 @@ func TestHelloMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Version != 1 || ack.Params.Kind != ring.KindFpCyclotomic || ack.Params.P.Int64() != 101 {
+	if ack.Version != Version || ack.Params.Kind != ring.KindFpCyclotomic || ack.Params.P.Int64() != 101 {
 		t.Errorf("hello ack = %+v", ack)
 	}
 	zparams := ring.MustIntQuotient(1, 0, 1).Params()
-	payload, _ = EncodeHelloAck(HelloAck{Version: 1, Params: zparams})
+	payload, _ = EncodeHelloAck(HelloAck{Version: Version, Params: zparams})
 	ack, err = DecodeHelloAck(payload)
 	if err != nil || ack.Params.Kind != ring.KindIntQuotient {
 		t.Errorf("Z hello ack: %v %v", ack, err)
 	}
 	if _, err := DecodeHello(nil); err == nil {
 		t.Error("empty hello accepted")
+	}
+}
+
+// TestHandshakeDecodersRejectMalformed: a version varint wider than 32
+// bits must not truncate to a valid version, and the fixed-size Hello and
+// Ack payloads must end where their last field does.
+func TestHandshakeDecodersRejectMalformed(t *testing.T) {
+	wide := binary.AppendUvarint(nil, 1<<32+uint64(Version))
+	if h, err := DecodeHello(wide); err == nil {
+		t.Errorf("hello version 2^32+%d decoded as %d", Version, h.Version)
+	}
+	ackPayload, err := EncodeHelloAck(HelloAck{Version: Version, Params: ring.MustFp(101).Params()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, k := binary.Uvarint(ackPayload)
+	wideAck := append(append([]byte(nil), wide...), ackPayload[k:]...)
+	if a, err := DecodeHelloAck(wideAck); err == nil {
+		t.Errorf("hello ack version 2^32+%d decoded as %d", Version, a.Version)
+	}
+	if _, err := DecodeHello(append(EncodeHello(Hello{Version: Version}), 0x00)); err == nil {
+		t.Error("trailing bytes after hello accepted")
+	}
+	if _, err := DecodeAck(append(EncodeAck(77), 0x00)); err == nil {
+		t.Error("trailing bytes after ack accepted")
+	}
+	// The largest 32-bit version still decodes exactly.
+	if h, err := DecodeHello(EncodeHello(Hello{Version: 1<<32 - 1})); err != nil || h.Version != 1<<32-1 {
+		t.Errorf("max 32-bit version: %+v %v", h, err)
 	}
 }
 
@@ -251,52 +294,77 @@ func TestPruneAckError(t *testing.T) {
 	}
 }
 
+// tail returns the fixed request tail: deadline, trace ID, flags.
+func tail(millis, traceID, flags uint64) []byte {
+	out := binary.AppendUvarint(nil, millis)
+	out = binary.AppendUvarint(out, traceID)
+	return binary.AppendUvarint(out, flags)
+}
+
 func TestV3RequestDeadlines(t *testing.T) {
-	// A request with a deadline budget round-trips, and its encoding with
-	// the budget zeroed is byte-identical to the v2 encoding — the
-	// back-compat contract that lets v3 builds talk to v2 daemons.
+	// Every request ends with the deadline budget, trace ID and trace
+	// flags, written even when zero and required on decode.
 	req := EvalReq{
 		ID:            7,
 		Keys:          []drbg.NodeKey{{1}},
 		Points:        []*big.Int{big.NewInt(3)},
 		TimeoutMillis: 1500,
 	}
+	body := binary.AppendUvarint(nil, 7)
+	body = AppendKeys(body, req.Keys)
+	body = AppendBigs(body, req.Points)
+	if got, want := EncodeEvalReq(req), append(body, tail(1500, 0, 0)...); !bytes.Equal(got, want) {
+		t.Fatalf("eval layout:\n got %x\nwant %x", got, want)
+	}
 	dec, err := DecodeEvalReq(EncodeEvalReq(req))
-	if err != nil || dec.TimeoutMillis != 1500 {
+	if err != nil || dec.TimeoutMillis != 1500 || dec.TraceID != 0 || dec.TraceSampled {
 		t.Fatalf("eval deadline round trip: %+v %v", dec, err)
 	}
-	legacy := req
-	legacy.TimeoutMillis = 0
-	withT := EncodeEvalReq(req)
-	noT := EncodeEvalReq(legacy)
-	if bytes.Equal(withT, noT) {
-		t.Fatal("deadline budget not encoded")
+	req.TimeoutMillis = 0
+	if got, want := EncodeEvalReq(req), append(body, tail(0, 0, 0)...); !bytes.Equal(got, want) {
+		t.Fatalf("zero tail not written:\n got %x\nwant %x", got, want)
 	}
-	if !bytes.HasPrefix(withT, noT) {
-		t.Fatal("v3 extension is not a pure suffix of the v2 encoding")
-	}
-	decL, err := DecodeEvalReq(noT)
-	if err != nil || decL.TimeoutMillis != 0 {
-		t.Fatalf("legacy eval decode: %+v %v", decL, err)
+	// A body with the tail missing, or cut after any of its fields, is
+	// rejected.
+	for cut := 0; cut < 3; cut++ {
+		short := append(append([]byte(nil), body...), tail(0, 0, 0)[:cut]...)
+		if _, err := DecodeEvalReq(short); err == nil {
+			t.Errorf("eval request with %d of 3 tail fields accepted", cut)
+		}
 	}
 
-	f, err := DecodeFetchReq(EncodeFetchReq(FetchReq{ID: 8, Keys: []drbg.NodeKey{{2}}, TimeoutMillis: 250}))
+	keys := []drbg.NodeKey{{2}}
+	fbody := AppendKeys(binary.AppendUvarint(nil, 8), keys)
+	if got, want := EncodeFetchReq(FetchReq{ID: 8, Keys: keys, TimeoutMillis: 250}), append(fbody, tail(250, 0, 0)...); !bytes.Equal(got, want) {
+		t.Fatalf("fetch layout:\n got %x\nwant %x", got, want)
+	}
+	if _, err := DecodeFetchReq(fbody); err == nil {
+		t.Error("fetch request without tail accepted")
+	}
+	f, err := DecodeFetchReq(EncodeFetchReq(FetchReq{ID: 8, Keys: keys, TimeoutMillis: 250}))
 	if err != nil || f.TimeoutMillis != 250 {
 		t.Fatalf("fetch deadline round trip: %+v %v", f, err)
 	}
-	p, err := DecodePruneReq(EncodePruneReq(PruneReq{ID: 9, Keys: []drbg.NodeKey{{3}}, TimeoutMillis: 10}))
+	pbody := AppendKeys(binary.AppendUvarint(nil, 9), keys)
+	if got, want := EncodePruneReq(PruneReq{ID: 9, Keys: keys, TimeoutMillis: 10}), append(pbody, tail(10, 0, 0)...); !bytes.Equal(got, want) {
+		t.Fatalf("prune layout:\n got %x\nwant %x", got, want)
+	}
+	if _, err := DecodePruneReq(pbody); err == nil {
+		t.Error("prune request without tail accepted")
+	}
+	p, err := DecodePruneReq(EncodePruneReq(PruneReq{ID: 9, Keys: keys, TimeoutMillis: 10}))
 	if err != nil || p.TimeoutMillis != 10 {
 		t.Fatalf("prune deadline round trip: %+v %v", p, err)
 	}
-	// Garbage after the budget varint is still rejected.
+	// Garbage after the tail is rejected.
 	if _, err := DecodeEvalReq(append(EncodeEvalReq(req), 0x01)); err == nil {
-		t.Error("trailing bytes after deadline accepted")
+		t.Error("trailing bytes after tail accepted")
 	}
 }
 
 func TestV3RequestTrace(t *testing.T) {
 	// A traced request round-trips trace ID + sampled flag on all three
-	// request types, including a zero deadline budget alongside a trace.
+	// request types, with and without a deadline budget.
 	req := EvalReq{
 		ID:           7,
 		Keys:         []drbg.NodeKey{{1}},
@@ -308,24 +376,21 @@ func TestV3RequestTrace(t *testing.T) {
 	if err != nil || dec.TraceID != req.TraceID || !dec.TraceSampled || dec.TimeoutMillis != 0 {
 		t.Fatalf("eval trace round trip: %+v %v", dec, err)
 	}
+	untraced := req
+	untraced.TraceID, untraced.TraceSampled = 0, false
+	body := EncodeEvalReq(untraced)
+	body = body[:len(body)-3] // strip the all-zero tail
+	if got, want := EncodeEvalReq(req), append(body, tail(0, req.TraceID, 1)...); !bytes.Equal(got, want) {
+		t.Fatalf("trace layout:\n got %x\nwant %x", got, want)
+	}
 	// Trace + deadline together.
 	req.TimeoutMillis = 1500
+	if got, want := EncodeEvalReq(req), append(body, tail(1500, req.TraceID, 1)...); !bytes.Equal(got, want) {
+		t.Fatalf("trace+deadline layout:\n got %x\nwant %x", got, want)
+	}
 	dec, err = DecodeEvalReq(EncodeEvalReq(req))
 	if err != nil || dec.TraceID != req.TraceID || !dec.TraceSampled || dec.TimeoutMillis != 1500 {
 		t.Fatalf("eval trace+deadline round trip: %+v %v", dec, err)
-	}
-	// An untraced request encodes byte-identically to the PR 8 form: the
-	// trace extension is a pure suffix, and with no deadline either, to
-	// the v2 form — so traceless frames are safe for v2 peers.
-	traceless := req
-	traceless.TraceID, traceless.TraceSampled = 0, false
-	if !bytes.HasPrefix(EncodeEvalReq(req), EncodeEvalReq(traceless)) {
-		t.Fatal("trace extension is not a pure suffix")
-	}
-	v2 := traceless
-	v2.TimeoutMillis = 0
-	if !bytes.HasPrefix(EncodeEvalReq(traceless), EncodeEvalReq(v2)) {
-		t.Fatal("traceless v3 encoding is not a pure extension of v2")
 	}
 
 	f, err := DecodeFetchReq(EncodeFetchReq(FetchReq{ID: 8, Keys: []drbg.NodeKey{{2}}, TraceID: 42, TraceSampled: true}))
@@ -336,38 +401,49 @@ func TestV3RequestTrace(t *testing.T) {
 	if err != nil || p.TraceID != 43 || !p.TraceSampled || p.TimeoutMillis != 10 {
 		t.Fatalf("prune trace round trip: %+v %v", p, err)
 	}
-	// Garbage after the trace flags varint is still rejected.
+	// Garbage after the trace flags varint is rejected.
 	if _, err := DecodeEvalReq(append(EncodeEvalReq(req), 0x01)); err == nil {
 		t.Error("trailing bytes after trace accepted")
 	}
 }
 
 func TestTypedErrorCodec(t *testing.T) {
-	// v3 extended encoding round-trips code + retry-after.
+	// Layout: id, message, code, retry-after — all four always written.
 	shed := ErrorMsg{ID: 11, Message: "shed", Code: CodeOverloaded, RetryAfterMillis: 5}
+	want := AppendString(binary.AppendUvarint(nil, 11), "shed")
+	want = append(want, byte(CodeOverloaded), 5)
+	if got := EncodeError(shed); !bytes.Equal(got, want) {
+		t.Fatalf("typed error layout:\n got %x\nwant %x", got, want)
+	}
 	dec, err := DecodeError(EncodeError(shed))
 	if err != nil || dec != shed {
 		t.Fatalf("typed error round trip: %+v %v", dec, err)
 	}
-	// A generic error with no hint encodes byte-identically to v2, so v2
-	// peers never see extension bytes.
 	plain := ErrorMsg{ID: 11, Message: "shed"}
-	if !bytes.Equal(EncodeError(plain), func() []byte {
-		dst := AppendAck(nil, 11)
-		return AppendString(dst, "shed")
-	}()) {
-		t.Fatal("generic error encoding grew extension bytes")
+	want = AppendString(binary.AppendUvarint(nil, 11), "shed")
+	if got := EncodeError(plain); !bytes.Equal(got, append(want, 0, 0)) {
+		t.Fatalf("generic error layout: %x", got)
 	}
 	dec2, err := DecodeError(EncodeError(plain))
-	if err != nil || dec2.Code != CodeGeneric || dec2.RetryAfterMillis != 0 {
-		t.Fatalf("legacy error decode: %+v %v", dec2, err)
+	if err != nil || dec2 != plain {
+		t.Fatalf("generic error round trip: %+v %v", dec2, err)
 	}
-	// Truncated extension (code without retry-after) is rejected.
-	trunc := AppendAck(nil, 1)
-	trunc = AppendString(trunc, "x")
-	trunc = append(trunc, 0x01, 0x80) // code=1, then a dangling varint
-	if _, err := DecodeError(trunc); err == nil {
-		t.Error("truncated error extension accepted")
+	// Code and retry-after are required.
+	if _, err := DecodeError(want); err == nil {
+		t.Error("error without code accepted")
+	}
+	if _, err := DecodeError(append(want, 0x01)); err == nil {
+		t.Error("error without retry-after accepted")
+	}
+	if _, err := DecodeError(append(want, 0x01, 0x80)); err == nil {
+		t.Error("truncated retry-after accepted")
+	}
+	if _, err := DecodeError(append(want, 0x01, 0x00, 0x00)); err == nil {
+		t.Error("trailing bytes after retry-after accepted")
+	}
+	wideCode := binary.AppendUvarint(append([]byte(nil), want...), 1<<32+uint64(CodeOverloaded))
+	if e, err := DecodeError(append(wideCode, 0)); err == nil {
+		t.Errorf("error code 2^32+1 decoded as %d", e.Code)
 	}
 }
 
@@ -408,7 +484,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if _, err := WriteFrame(&buf, Frame{Type: MsgEvalResp, Payload: payload}); err != nil {
+		if _, err := WriteFrame(&buf, Frame{Type: MsgEvalResp, ReqID: 1, Payload: payload}); err != nil {
 			b.Fatal(err)
 		}
 		if _, _, err := ReadFrame(&buf); err != nil {

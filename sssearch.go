@@ -274,10 +274,9 @@ type ServeOpts struct {
 	IdleTimeout time.Duration
 
 	// MaxInflight, when positive, bounds concurrently executing requests
-	// across the whole daemon. Excess requests from current-protocol
-	// sessions are shed immediately with a typed retryable error carrying
-	// a retry-after hint (resilient clients back off and retry); older
-	// sessions queue for a slot instead. Zero leaves admission unbounded.
+	// across the whole daemon. Excess requests are shed immediately with a
+	// typed retryable error carrying a retry-after hint (resilient clients
+	// back off and retry). Zero leaves admission unbounded.
 	MaxInflight int
 }
 

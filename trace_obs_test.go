@@ -23,7 +23,6 @@ import (
 	"sssearch/internal/ring"
 	"sssearch/internal/server"
 	"sssearch/internal/sharing"
-	"sssearch/internal/wire"
 )
 
 // serveTraced starts a daemon over st with a private Observer, so each
@@ -301,59 +300,6 @@ func TestTraceCoalescedLegsShareID(t *testing.T) {
 	}
 	if passes[1].keys != len(f.Keys) {
 		t.Fatalf("merged pass evaluated %d keys, want %d deduplicated", passes[1].keys, len(f.Keys))
-	}
-}
-
-// TestTraceV2DowngradeStripsTrace proves v2 interop with sampling on: a
-// v2 session never puts trace bytes on the wire, the daemon parses its
-// frames exactly as before and answers correctly, and no server span
-// appears for the v2 request — while a v3 session against the same
-// daemon does get its trace through.
-func TestTraceV2DowngradeStripsTrace(t *testing.T) {
-	prev := obs.SampleEvery()
-	obs.SetSampleEvery(1)
-	defer obs.SetSampleEvery(prev)
-
-	f := apitest.NewFixture(t, ring.MustFp(257))
-	addr, ob := serveTraced(t, f.Reference)
-
-	r2, err := client.DialVersion(addr, wire.Version2, &metrics.Counters{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	const v2ID = 0x5e7_1d_0020
-	ctx2, _ := sampledCtx(v2ID)
-	got, err := r2.EvalNodesCtx(ctx2, f.Keys, f.Points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := f.Reference.EvalNodes(f.Keys, f.Points)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := apitest.CompareEvals(got, want); err != nil {
-		t.Fatalf("v2 session answer under sampling: %v", err)
-	}
-
-	// A v3 request is the sentinel that the daemon has caught up on
-	// span recording: once ITS id is logged, the v2 request has long
-	// been answered — and must have left no trace.
-	r3, err := client.Dial(addr, &metrics.Counters{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r3.Close()
-	const v3ID = 0x5e7_1d_0021
-	ctx3, _ := sampledCtx(v3ID)
-	if _, err := r3.EvalNodesCtx(ctx3, f.Keys[:1], f.Points[:1]); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "the v3 sentinel trace in the slow log", func() bool {
-		return slowCount(ob, v3ID) >= 1
-	})
-	if n := slowCount(ob, v2ID); n != 0 {
-		t.Fatalf("v2 session leaked %d server span(s); the downgrade must strip the trace", n)
 	}
 }
 
