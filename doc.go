@@ -19,7 +19,10 @@
 // adds its own share values. A non-zero sum kills a whole subtree in one
 // comparison, so selective queries touch a small fraction of the tree;
 // zero sums identify matches, with an algebraic verification equation
-// that also catches a cheating server.
+// that also catches a cheating server. A zero node with a zero child is
+// ambiguous; the client resolves every ambiguous node of a query step in
+// one fetch round per step, fetching the polynomials of those nodes and
+// their children together and solving each tag from the shared answer.
 //
 // # Quick start
 //
@@ -239,19 +242,23 @@
 // that order, so the field always contains a primitive n-th root of
 // unity and the length-n DFT diagonalizes the ring product in-field.
 // Per ring the transform state is built lazily on the first
-// transform-sized product and cached for the ring's lifetime — 8n bytes
-// of twiddle table plus pooled scratch, immutable after construction and
-// shared read-only across goroutines. Routing rules:
+// transform-sized product and cached for the ring's lifetime — per-stage
+// twiddle tables of at most 16n bytes (8n when n is a power of two) plus
+// pooled scratch, immutable after construction and shared read-only
+// across goroutines. Routing rules:
 //
-//   - When n factors into primes ≤ 61, the mixed-radix Cooley-Tukey
-//     transform runs directly over F_p.
+//   - When n factors into primes ≤ 61, an iterative in-place mixed-radix
+//     Cooley-Tukey transform runs directly over F_p: a decimation in
+//     frequency into digit-reversed order, a pointwise product, and a
+//     decimation in time back, with a specialised radix-2 butterfly and a
+//     generic one for the odd radices.
 //   - When n has a larger prime factor, the engine computes the exact
 //     integer convolution through power-of-two NTTs over one or two
 //     63-bit auxiliary primes with a CRT lift — still O(n log n), at a
 //     higher constant (it engages at a correspondingly higher size bar).
 //   - Short products stay schoolbook: a product routes to the transform
 //     only when its schoolbook cost (la·lb coefficient pairs) exceeds
-//     the measured transform cost, ≈ 5·n·log2(n) pair-equivalents
+//     the measured transform cost, ≈ 2·n·log2(n) pair-equivalents
 //     (calibrated by BenchmarkNTT256Mul vs BenchmarkSchoolbook256Mul).
 //     Multi-factor products (ring.MulPackedProd — the shape the
 //     bottom-up tree encode emits at every interior node) amortize

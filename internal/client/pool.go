@@ -279,8 +279,9 @@ func (p *Pool) redialMember(m *poolMember) {
 // same full admission queue — without ejecting the member (the
 // connection is healthy; the daemon is busy). Consecutive sheds trip the
 // pool-wide breaker and subsequent calls fail fast until the cooldown
-// probe. Visiting every member without success surfaces the last
-// transport error.
+// probe. Visiting every member without success means no member is
+// healthy right now: the error matches ErrNoHealthyMembers and wraps the
+// last transport error.
 func poolCall[T any](p *Pool, call func(r *Remote) (T, error)) (T, error) {
 	var zero T
 	if !p.breaker.Allow() {
@@ -292,7 +293,7 @@ func poolCall[T any](p *Pool, call func(r *Remote) (T, error)) (T, error) {
 		if err != nil {
 			p.breaker.Record(err)
 			if lastErr != nil {
-				return zero, fmt.Errorf("%w (last transport error: %v)", err, lastErr)
+				return zero, fmt.Errorf("%w (last transport error: %w)", err, lastErr)
 			}
 			return zero, err
 		}
@@ -318,7 +319,7 @@ func poolCall[T any](p *Pool, call func(r *Remote) (T, error)) (T, error) {
 		p.counters.AddRetries(1)
 	}
 	p.breaker.Record(lastErr)
-	return zero, fmt.Errorf("client: pool members exhausted: %w", lastErr)
+	return zero, fmt.Errorf("client: pool members exhausted: %w: %w", ErrNoHealthyMembers, lastErr)
 }
 
 // EvalNodesCtx is EvalNodes with context cancellation.

@@ -1,8 +1,16 @@
 package client
 
 import (
+	"errors"
 	"math"
+	"math/big"
+	"net"
+	"strings"
 	"testing"
+
+	"sssearch/internal/drbg"
+	"sssearch/internal/ring"
+	"sssearch/internal/wire"
 )
 
 // TestPoolPickCounterOverflow: the round-robin index must stay in range
@@ -52,5 +60,56 @@ func TestNewPoolRejectsNil(t *testing.T) {
 	}
 	if p.Size() != 2 {
 		t.Fatalf("Size = %d, want 2", p.Size())
+	}
+}
+
+// dropAfterHandshake serves one end of a pipe: it accepts the Hello,
+// then closes the connection as soon as a request arrives — a member
+// that fails every call with a transport fault.
+func dropAfterHandshake(t *testing.T, conn net.Conn) {
+	defer conn.Close()
+	if _, _, err := wire.ReadFrame(conn); err != nil {
+		return
+	}
+	ack, err := wire.EncodeHelloAck(wire.HelloAck{Version: wire.Version, Params: ring.MustFp(257).Params()})
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	if _, err := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgHelloAck, Payload: ack}); err != nil {
+		return
+	}
+	_, _, _ = wire.ReadFrame(conn)
+}
+
+// TestPoolExhaustedMatchesNoHealthyMembers: when every member fails with
+// a transport fault in one pass, the pool's error must match
+// ErrNoHealthyMembers (the class callers retry on) and still wrap the
+// last transport error.
+func TestPoolExhaustedMatchesNoHealthyMembers(t *testing.T) {
+	var remotes []*Remote
+	for i := 0; i < 3; i++ {
+		cli, srv := net.Pipe()
+		go dropAfterHandshake(t, srv)
+		r, err := NewRemote(cli, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		remotes = append(remotes, r)
+	}
+	p, err := NewPool(remotes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.EvalNodes([]drbg.NodeKey{{}}, []*big.Int{big.NewInt(3)})
+	if !errors.Is(err, ErrNoHealthyMembers) {
+		t.Fatalf("error %v does not match ErrNoHealthyMembers", err)
+	}
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("error %v does not wrap the last transport error", err)
+	}
+	if !strings.Contains(err.Error(), "pool members exhausted") {
+		t.Fatalf("error %v does not say the members were exhausted", err)
 	}
 }

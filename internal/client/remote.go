@@ -9,6 +9,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -34,7 +35,10 @@ var ErrClosed = errors.New("client: session closed")
 // Safe for concurrent use: concurrent calls are pipelined on the one
 // connection.
 type Remote struct {
-	conn     io.ReadWriteCloser
+	conn io.ReadWriteCloser
+	// rd buffers conn's read side. The handshake and the reader goroutine
+	// share it, so no bytes buffered during the handshake are lost.
+	rd       *bufio.Reader
 	params   ring.Params
 	counters *metrics.Counters
 	obsv     *obs.Observer
@@ -88,7 +92,8 @@ func NewRemote(conn io.ReadWriteCloser, counters *metrics.Counters) (*Remote, er
 	if err != nil {
 		return nil, err
 	}
-	f, rn, err := wire.ReadFrame(conn)
+	rd := bufio.NewReader(conn)
+	f, rn, err := wire.ReadFrame(rd)
 	counters.AddBytesReceived(rn)
 	counters.AddMessageReceived()
 	if err != nil {
@@ -105,6 +110,7 @@ func NewRemote(conn io.ReadWriteCloser, counters *metrics.Counters) (*Remote, er
 		}
 		r := &Remote{
 			conn:       conn,
+			rd:         rd,
 			params:     ack.Params,
 			counters:   counters,
 			obsv:       obs.Default(),
@@ -174,7 +180,7 @@ func (r *Remote) Close() error {
 func (r *Remote) readLoop() {
 	defer close(r.readerDone)
 	for {
-		f, n, err := wire.ReadFrame(r.conn)
+		f, n, err := wire.ReadFrame(r.rd)
 		if err != nil {
 			r.pmu.Lock()
 			r.readErr = err

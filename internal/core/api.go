@@ -10,7 +10,11 @@
 // the branch is pruned — the server is told to stop, which is the source of
 // the scheme's sub-linear work. Zero nodes with no zero child are definite
 // answers; other zero nodes are disambiguated by reconstructing polynomials
-// and solving eq. (2) for the node tag (package polyenc).
+// and solving eq. (2) for the node tag (package polyenc). Tag recovery
+// takes one fetch round per step: the polynomials of every ambiguous node
+// of the step and of its children are fetched together, deduplicated, and
+// each tag is solved from the shared answers (VerifyFull's re-derivation
+// of the final matches is one more such round).
 package core
 
 import (
@@ -129,6 +133,22 @@ func EvalNodesWithCtx(ctx context.Context, api ServerAPI, keys []drbg.NodeKey, p
 		return ce.EvalNodesCtx(ctx, keys, points)
 	}
 	return api.EvalNodes(keys, points)
+}
+
+// CtxFetcher is the context-aware extension of FetchPolys, the fetch
+// counterpart of CtxEvaler.
+type CtxFetcher interface {
+	FetchPolysCtx(ctx context.Context, keys []drbg.NodeKey) ([]NodePoly, error)
+}
+
+// FetchPolysWithCtx fetches via api, forwarding ctx when api supports it,
+// so a recovery round carries the query's deadline and trace like its
+// evaluation waves do.
+func FetchPolysWithCtx(ctx context.Context, api ServerAPI, keys []drbg.NodeKey) ([]NodePoly, error) {
+	if cf, ok := api.(CtxFetcher); ok {
+		return cf.FetchPolysCtx(ctx, keys)
+	}
+	return api.FetchPolys(keys)
 }
 
 // VerifyLevel controls how much the client re-checks the server.

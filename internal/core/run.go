@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -419,8 +421,8 @@ func (r *run) scanDescendants(roots []drbg.NodeKey, pts []*big.Int) ([]sumState,
 // classify applies the paper's answer rule to candidates of step i:
 // a zero node with no zero child (at the step's own point) is a definite
 // match; a zero node with a zero child is ambiguous and is resolved by tag
-// recovery (or reported unresolved under VerifyNone). Wildcard steps match
-// structurally.
+// recovery (or reported unresolved under VerifyNone). All of the step's
+// recoveries share one fetch round. Wildcard steps match structurally.
 func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.NodeKey, err error) {
 	if len(cands) == 0 {
 		return nil, nil, nil
@@ -449,6 +451,7 @@ func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.Node
 	for _, st := range childStates {
 		childZero[st.ks] = st.sums[0].Sign() == 0
 	}
+	var ambiguous []drbg.NodeKey
 	for _, c := range cands {
 		anyZeroChild := false
 		for j := 0; j < c.nch; j++ {
@@ -457,47 +460,162 @@ func (r *run) classify(cands []sumState, i int) (matches, unresolved []drbg.Node
 				break
 			}
 		}
-		if !anyZeroChild {
+		switch {
+		case !anyZeroChild:
 			// Definite: the (x - point) factor must be the node's own.
 			matches = append(matches, c.key)
-			continue
-		}
-		// Ambiguous: node and some descendant chain both contain the tag.
-		if r.opts.Verify == VerifyNone {
+		case r.opts.Verify == VerifyNone:
+			// Ambiguous: node and some descendant chain both contain the tag.
 			unresolved = append(unresolved, c.key)
-			continue
+		default:
+			ambiguous = append(ambiguous, c.key)
 		}
-		tag, err := r.recoverNodeTag(c.key, c.nch)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: resolving %s: %w", c.key, err)
-		}
+	}
+	tags, err := r.recoverTags(ambiguous, "resolving")
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, tag := range tags {
 		if tag.Cmp(cur) == 0 {
-			matches = append(matches, c.key)
+			matches = append(matches, ambiguous[j])
 		}
 	}
 	return matches, unresolved, nil
 }
 
-// fetchPolys wraps the API call with metrics.
-func (r *run) fetchPolys(keys []drbg.NodeKey) (map[string]NodePoly, error) {
-	if len(keys) == 0 {
-		return map[string]NodePoly{}, nil
-	}
-	answers, err := r.e.api.FetchPolys(keys)
+// verifyMatches re-derives each reported match's tag and compares it with
+// the query point (VerifyFull), in one fetch round.
+func (r *run) verifyMatches(keys []drbg.NodeKey, point *big.Int, wildcard bool) error {
+	tags, err := r.recoverTags(keys, "verification of")
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if wildcard {
+		return nil
+	}
+	for j, tag := range tags {
+		if tag.Cmp(point) != 0 {
+			r.e.counters.AddVerifyFailure()
+			return fmt.Errorf("core: server cheated: node %s has tag %s, query point %s", keys[j], tag, point)
+		}
+	}
+	return nil
+}
+
+// recoverTags solves eq. (2) for the tag of every node in nodes. The
+// polynomials of the nodes and of their children are fetched together,
+// deduplicated, in one round; tags aligns with nodes. what names the
+// purpose in errors ("resolving", "verification of").
+func (r *run) recoverTags(nodes []drbg.NodeKey, what string) ([]*big.Int, error) {
+	if len(nodes) == 0 {
+		return nil, nil
+	}
+	nch := make([]int, len(nodes))
+	var keys []drbg.NodeKey
+	for j, k := range nodes {
+		nch[j] = r.childCount[k.String()]
+		keys = append(keys, k)
+		for c := 0; c < nch[j]; c++ {
+			keys = append(keys, k.Child(uint32(c)))
+		}
+	}
+	answers, err := r.fetchPolys(dedupKeys(keys))
+	if err != nil {
+		return nil, fmt.Errorf("core: %s %d nodes: %w", what, len(nodes), err)
+	}
+	tags := make([]*big.Int, len(nodes))
+	for j, k := range nodes {
+		if tags[j], err = r.recoverNodeTag(answers, k, nch[j]); err != nil {
+			return nil, fmt.Errorf("core: %s %s: %w", what, k, err)
+		}
+	}
+	return tags, nil
+}
+
+// fetchPolys fetches the polynomials of keys in one protocol round. A
+// fetch whose response could exceed a wire frame is split by PlanFetch
+// into chunks issued concurrently; like a split evaluation wave, the
+// round counts once.
+func (r *run) fetchPolys(keys []drbg.NodeKey) (map[string]NodePoly, error) {
+	chunks := PlanFetch(keys, r.e.ring.DegreeBound())
+	results := make([][]NodePoly, len(chunks))
+	errs := make([]error, len(chunks))
+	if len(chunks) == 1 {
+		results[0], errs[0] = FetchPolysWithCtx(r.ctx, r.e.api, chunks[0])
+	} else {
+		var wg sync.WaitGroup
+		for ci, chunk := range chunks {
+			wg.Add(1)
+			go func(ci int, chunk []drbg.NodeKey) {
+				defer wg.Done()
+				results[ci], errs[ci] = FetchPolysWithCtx(r.ctx, r.e.api, chunk)
+			}(ci, chunk)
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	r.e.counters.AddRound()
-	r.e.counters.AddPolysFetched(len(answers))
-	out := make(map[string]NodePoly, len(answers))
-	for _, a := range answers {
-		r.e.counters.AddPolyBytes(a.BinarySize())
-		aks := a.Key.String()
-		r.childCount[aks] = a.NumChildren
-		out[aks] = a
+	out := make(map[string]NodePoly, len(keys))
+	for _, answers := range results {
+		r.e.counters.AddPolysFetched(len(answers))
+		for _, a := range answers {
+			r.e.counters.AddPolyBytes(a.BinarySize())
+			aks := a.Key.String()
+			r.childCount[aks] = a.NumChildren
+			out[aks] = a
+		}
 	}
 	return out, nil
 }
+
+// MaxFetchResponse bounds the payload of one fetch response. It is
+// wire.MaxFrameSize, restated because package wire imports core; a wire
+// test pins the two together.
+const MaxFetchResponse = 16 << 20
+
+// PlanFetch splits a fetch of keys, in order, into chunks whose responses
+// fit MaxFetchResponse. Each answer is bounded by the word encoding: the
+// node key, a child-count varint and a polynomial of at most degreeBound
+// coefficients of at most ten bytes each (presence flag, length byte,
+// eight-byte word). An integer-ring coefficient wider than a word can
+// break this bound; such a chunk fails with the frame-size error, never
+// with a wrong answer.
+func PlanFetch(keys []drbg.NodeKey, degreeBound int) [][]drbg.NodeKey {
+	// Response id and answer count, then per answer the child count and
+	// the coefficient count.
+	budget := MaxFetchResponse - 2*binary.MaxVarintLen64
+	answerMax := 2*binary.MaxVarintLen64 + 10*degreeBound
+	if len(keys) == 0 {
+		return nil
+	}
+	var out [][]drbg.NodeKey
+	start, used := 0, 0
+	for i, k := range keys {
+		size := answerMax + keySize(k)
+		if i > start && used+size > budget {
+			out = append(out, keys[start:i])
+			start, used = i, 0
+		}
+		used += size
+	}
+	return append(out, keys[start:])
+}
+
+// keySize is the length of a node key's wire encoding: a varint depth and
+// one varint per component.
+func keySize(k drbg.NodeKey) int {
+	n := uvarintLen(uint64(len(k)))
+	for _, c := range k {
+		n += uvarintLen(uint64(c))
+	}
+	return n
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // reconstructPoly adds the client share to a fetched server share.
 func (r *run) reconstructPoly(answers map[string]NodePoly, key drbg.NodeKey) (poly.Poly, error) {
@@ -512,19 +630,15 @@ func (r *run) reconstructPoly(answers map[string]NodePoly, key drbg.NodeKey) (po
 	return r.e.ring.Add(cs, ans.Polynomial()), nil
 }
 
-// recoverNodeTag reconstructs the full polynomials of a node and its
-// children and solves eq. (2) for the node's tag value.
-func (r *run) recoverNodeTag(key drbg.NodeKey, nch int) (*big.Int, error) {
+// recoverNodeTag reconstructs the full polynomials of a node and its nch
+// children from fetched answers and solves eq. (2) for the node's tag.
+func (r *run) recoverNodeTag(answers map[string]NodePoly, key drbg.NodeKey, nch int) (*big.Int, error) {
 	keys := make([]drbg.NodeKey, 0, nch+1)
 	keys = append(keys, key)
 	for i := 0; i < nch; i++ {
 		keys = append(keys, key.Child(uint32(i)))
 	}
-	answers, err := r.fetchPolys(keys)
-	if err != nil {
-		return nil, err
-	}
-	if tag, ok, err := r.recoverNodeTagPacked(answers, key, keys); ok {
+	if tag, ok, err := r.recoverNodeTagPacked(answers, keys); ok {
 		if err != nil {
 			r.e.counters.AddVerifyFailure()
 			return nil, err
@@ -552,14 +666,15 @@ func (r *run) recoverNodeTag(key drbg.NodeKey, nch int) (*big.Int, error) {
 	return tag, nil
 }
 
-// recoverNodeTagPacked is the fast-path tag recovery: server polynomials
-// arrive as words (or pack once), client shares arrive packed from the
-// share source, and the reconstruction plus eq. (2) solve stay in the word
-// representation end to end. ok=false falls back to the big.Int path
+// recoverNodeTagPacked is the fast-path tag recovery of node keys[0] from
+// its children keys[1:]: server polynomials arrive as words (or pack
+// once), client shares arrive packed from the share source, and the
+// reconstruction plus eq. (2) solve stay in the word representation end
+// to end. ok=false falls back to the big.Int path
 // (fast path off, source without packed shares, or a polynomial with
 // out-of-word coefficients or more than DegreeBound of them — e.g. a
 // tampering server).
-func (r *run) recoverNodeTagPacked(answers map[string]NodePoly, key drbg.NodeKey, keys []drbg.NodeKey) (*big.Int, bool, error) {
+func (r *run) recoverNodeTagPacked(answers map[string]NodePoly, keys []drbg.NodeKey) (*big.Int, bool, error) {
 	fp, okRing := r.e.ring.(*ring.FpCyclotomic)
 	if !okRing || fp.Fast() == nil {
 		return nil, false, nil
@@ -599,20 +714,4 @@ func (r *run) recoverNodeTagPacked(answers map[string]NodePoly, key drbg.NodeKey
 	r.e.counters.AddTagRecovered()
 	tag, err := polyenc.RecoverTagPacked(fp, vecs[0], vecs[1:])
 	return tag, true, err
-}
-
-// verifyMatches re-derives each reported match's tag and compares it with
-// the query point (VerifyFull).
-func (r *run) verifyMatches(keys []drbg.NodeKey, point *big.Int, wildcard bool) error {
-	for _, k := range keys {
-		tag, err := r.recoverNodeTag(k, r.childCount[k.String()])
-		if err != nil {
-			return fmt.Errorf("core: verification of %s failed: %w", k, err)
-		}
-		if !wildcard && tag.Cmp(point) != 0 {
-			r.e.counters.AddVerifyFailure()
-			return fmt.Errorf("core: server cheated: node %s has tag %s, query point %s", k, tag, point)
-		}
-	}
-	return nil
 }

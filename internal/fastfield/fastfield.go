@@ -164,7 +164,9 @@ func (f *Field) MForm(a uint64) uint64 {
 
 // MRed is the Montgomery product a·b·R^{-1} mod p for a, b < p. With b in
 // Montgomery form (b = x·R mod p) the result is the plain product a·x mod
-// p — the shape every inner loop here uses.
+// p — the shape every inner loop here uses. a may also be an unreduced
+// value below 2p: a·b < 2p^2 still keeps the quotient below 2p, which the
+// final conditional subtraction reduces.
 func (f *Field) MRed(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	h, _ := bits.Mul64(lo*f.pInv, f.p)

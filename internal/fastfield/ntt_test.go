@@ -14,11 +14,16 @@ func naiveDFT(f *Field, w uint64, src []uint64, inverse bool) []uint64 {
 		winv, _ := f.Inv(w)
 		w = winv
 	}
+	pow := make([]uint64, n) // pow[e] = ω^e
+	pow[0] = 1
+	for e := 1; e < n; e++ {
+		pow[e] = f.Mul(pow[e-1], w)
+	}
 	dst := make([]uint64, n)
 	for k := 0; k < n; k++ {
 		var acc uint64
 		for j := 0; j < n; j++ {
-			acc = f.Add(acc, f.Mul(src[j], f.Exp(w, uint64(j*k%n))))
+			acc = f.Add(acc, f.Mul(src[j], pow[j*k%n]))
 		}
 		dst[k] = acc
 	}
@@ -29,6 +34,44 @@ func naiveDFT(f *Field, w uint64, src []uint64, inverse bool) []uint64 {
 		}
 	}
 	return dst
+}
+
+// transform is the natural-order DFT (inverse=false) or inverse DFT with
+// the 1/n scaling (inverse=true) of src, zero-padded to n, built from the
+// engine's in-place passes and the digit reversal between them.
+func transform(t *NTT, src []uint64, inverse bool) []uint64 {
+	// rev[p] is the frequency index the forward output holds at
+	// position p: stage s contributes the digit p / m_s (mod radix_s) as
+	// the s-th least significant digit of the frequency.
+	rev := make([]int, t.n)
+	for p := range rev {
+		rem, scale := p, 1
+		for _, st := range t.stages {
+			rev[p] += rem / st.m * scale
+			rem %= st.m
+			scale *= st.radix
+		}
+	}
+	x := make([]uint64, t.n)
+	if !inverse {
+		copy(x, src)
+		t.forward(x)
+		out := make([]uint64, t.n)
+		for p, k := range rev {
+			out[k] = x[p]
+		}
+		return out
+	}
+	for p, k := range rev {
+		if k < len(src) {
+			x[p] = src[k]
+		}
+	}
+	t.inverse(x)
+	for i, v := range x {
+		x[i] = t.f.MRed(v, t.nInvM)
+	}
+	return x
 }
 
 // naiveCyclicMul is the schoolbook product in F_p[x]/(x^n - 1).
@@ -51,39 +94,53 @@ func randVec(rng *rand.Rand, f *Field, n int) []uint64 {
 	return v
 }
 
-// testPrimes: smooth p-1 of several radix shapes. 257→2^8, 97→2^5·3,
-// 31→2·3·5, 211→2·3·5·7, 4099→2·3·683 is NOT smooth (683 > MaxRadix).
-var smoothPrimes = []uint64{31, 97, 211, 257}
+// nttLengths are the transform lengths the tests pin: n = p-1 for the
+// rings the tests build (256 = 2^8, 96 = 2^5·3, 30 = 2·3·5, 210 = 2·3·5·7,
+// 1008 = 2^4·3^2·7, 366 = 2·3·61 with the largest radix), and proper
+// divisors of p-1 (48 | 96, 9 | 1008, 1). 4099-1 = 2·3·683 is NOT smooth
+// (683 > MaxRadix).
+var nttLengths = []struct {
+	p uint64
+	n int
+}{{257, 256}, {97, 96}, {31, 30}, {211, 210}, {1009, 1008}, {367, 366}, {97, 48}, {1009, 9}, {257, 1}}
 
 func TestNTTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, p := range smoothPrimes {
-		f, err := New(p)
+	for _, c := range nttLengths {
+		f, err := New(c.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := int(p - 1)
-		ntt, err := NewNTT(f, n)
+		ntt, err := NewNTT(f, c.n)
 		if err != nil {
-			t.Fatalf("p=%d: %v", p, err)
+			t.Fatalf("p=%d n=%d: %v", c.p, c.n, err)
 		}
-		// Recover ω (plain domain) from the Montgomery table for the naive
-		// reference.
-		w := f.MRed(ntt.tab[1], 1)
-		src := randVec(rng, f, n)
-		got := make([]uint64, n)
-		ntt.Transform(got, src, false)
-		want := naiveDFT(f, w, src, false)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("p=%d forward[%d]: got %d want %d", p, i, got[i], want[i])
+		if f.Exp(ntt.w, uint64(c.n)) != 1 {
+			t.Fatalf("p=%d n=%d: ω^n != 1", c.p, c.n)
+		}
+		// Short input exercises the zero padding.
+		for _, l := range []int{c.n, c.n/2 + 1} {
+			src := randVec(rng, f, l)
+			padded := append(append([]uint64{}, src...), make([]uint64, c.n-l)...)
+			got := transform(ntt, src, false)
+			want := naiveDFT(f, ntt.w, padded, false)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("p=%d n=%d len=%d forward[%d]: got %d want %d", c.p, c.n, l, i, got[i], want[i])
+				}
 			}
-		}
-		inv := make([]uint64, n)
-		ntt.Transform(inv, got, true)
-		for i := range src {
-			if inv[i] != src[i] {
-				t.Fatalf("p=%d roundtrip[%d]: got %d want %d", p, i, inv[i], src[i])
+			inv := transform(ntt, got, true)
+			for i := range padded {
+				if inv[i] != padded[i] {
+					t.Fatalf("p=%d n=%d roundtrip[%d]: got %d want %d", c.p, c.n, i, inv[i], padded[i])
+				}
+			}
+			wantInv := naiveDFT(f, ntt.w, padded, true)
+			inv = transform(ntt, padded, true)
+			for i := range wantInv {
+				if inv[i] != wantInv[i] {
+					t.Fatalf("p=%d n=%d inverse[%d]: got %d want %d", c.p, c.n, i, inv[i], wantInv[i])
+				}
 			}
 		}
 	}
@@ -91,22 +148,24 @@ func TestNTTMatchesNaiveDFT(t *testing.T) {
 
 func TestNTTMulCyclicMatchesSchoolbook(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	for _, p := range smoothPrimes {
-		f, _ := New(p)
-		n := int(p - 1)
-		ntt, err := NewNTT(f, n)
+	for _, c := range nttLengths {
+		f, _ := New(c.p)
+		ntt, err := NewNTT(f, c.n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 20; trial++ {
-			la, lb := 1+rng.Intn(n), 1+rng.Intn(n)
+			la, lb := 1+rng.Intn(c.n), 1+rng.Intn(c.n)
+			if trial == 0 {
+				la, lb = c.n, c.n
+			}
 			a, b := randVec(rng, f, la), randVec(rng, f, lb)
-			got := make([]uint64, n)
+			got := make([]uint64, c.n)
 			ntt.MulCyclicInto(got, a, b)
-			want := naiveCyclicMul(f, n, a, b)
+			want := naiveCyclicMul(f, c.n, a, b)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("p=%d trial=%d coeff %d: got %d want %d", p, trial, i, got[i], want[i])
+					t.Fatalf("p=%d n=%d trial=%d coeff %d: got %d want %d", c.p, c.n, trial, i, got[i], want[i])
 				}
 			}
 		}
@@ -115,26 +174,35 @@ func TestNTTMulCyclicMatchesSchoolbook(t *testing.T) {
 
 func TestNTTProdCyclic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	f, _ := New(97)
-	n := 96
-	ntt, err := NewNTT(f, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	factors := make([][]uint64, 5)
-	want := []uint64{1}
-	for i := range factors {
-		factors[i] = randVec(rng, f, 1+rng.Intn(20))
-		want = naiveCyclicMul(f, n, want, factors[i])
-	}
-	got := make([]uint64, n)
-	ntt.ProdCyclicInto(got, factors...)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("coeff %d: got %d want %d", i, got[i], want[i])
+	for _, c := range nttLengths {
+		f, _ := New(c.p)
+		ntt, err := NewNTT(f, c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k <= 5; k++ {
+			factors := make([][]uint64, k)
+			want := []uint64{1}
+			for i := range factors {
+				factors[i] = randVec(rng, f, 1+rng.Intn(c.n))
+				want = naiveCyclicMul(f, c.n, want, factors[i])
+			}
+			got := make([]uint64, c.n)
+			ntt.ProdCyclicInto(got, factors...)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("p=%d n=%d k=%d coeff %d: got %d want %d", c.p, c.n, k, i, got[i], want[i])
+				}
+			}
 		}
 	}
 	// Empty product is the ring's one.
+	f, _ := New(97)
+	ntt, _ := NewNTT(f, 96)
+	got := make([]uint64, 96)
+	for i := range got {
+		got[i] = 5
+	}
 	ntt.ProdCyclicInto(got, [][]uint64{}...)
 	if got[0] != 1 {
 		t.Fatalf("empty product: got %d want 1", got[0])

@@ -66,12 +66,13 @@ type FpCyclotomic struct {
 // length n — three transforms plus the pointwise pass — in units of
 // schoolbook coefficient pairs, the break-even point against the
 // schoolbook loop's len(pa)·len(pb). The constant is measured, not
-// counted: one transform costs ≈ 1.8·n·log₂n pair-equivalents on the
-// mixed-radix kernel (BenchmarkNTT256Mul vs BenchmarkSchoolbook256Mul),
-// and rounding up to 5·n·log₂n for the full multiply errs toward the
-// schoolbook side, where a mispredicted boundary costs least.
+// counted: on the iterative kernel one full multiply costs ≈ 1.9·n·log₂n
+// pair-equivalents (BenchmarkNTT256Mul ≈ 19 µs vs BenchmarkSchoolbook256Mul
+// ≈ 288 µs for 65536 pairs, medians of six interleaved runs on a 2-vCPU
+// x86-64 host), and rounding up to 2·n·log₂n errs toward the schoolbook
+// side, where a mispredicted boundary costs least.
 func nttCutoverCost(n int) int {
-	return 5 * n * bits.Len(uint(n))
+	return 2 * n * bits.Len(uint(n))
 }
 
 // NewFpCyclotomic constructs F_p[x]/(x^{p-1}-1) for prime p >= 5.

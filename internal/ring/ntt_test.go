@@ -204,7 +204,7 @@ func TestNTTCutoverCost(t *testing.T) {
 		if c <= last {
 			t.Fatalf("cutover cost not increasing at n=%d: %d <= %d", n, c, last)
 		}
-		if c != 5*n*bits.Len(uint(n)) {
+		if c != 2*n*bits.Len(uint(n)) {
 			t.Fatalf("cutover cost formula drifted at n=%d", n)
 		}
 		last = c

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -403,7 +404,10 @@ func (d *Daemon) HandleConn(rwc io.ReadWriteCloser) error {
 	if err := d.armRead(conn); err != nil {
 		return nil // draining before the handshake: nothing to wind down
 	}
-	f, _, err := wire.ReadFrame(conn)
+	// One buffered reader serves the handshake and the serve loop, so a
+	// frame that arrives right behind the Hello is not lost between them.
+	rd := bufio.NewReader(conn)
+	f, _, err := wire.ReadFrame(rd)
 	if err != nil {
 		if errors.Is(d.classifyRead(err), errDraining) {
 			return nil
@@ -437,7 +441,7 @@ func (d *Daemon) HandleConn(rwc io.ReadWriteCloser) error {
 	if _, err := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgHelloAck, Payload: ackPayload}); err != nil {
 		return err
 	}
-	return d.serve(conn)
+	return d.serve(conn, rd)
 }
 
 // errSlowConsumer marks a connection torn down because its peer stopped
@@ -463,7 +467,7 @@ type respFrame struct {
 // connection only — and is disconnected once the queue stalls past
 // WriteStall. Under a MaxInflight bound, excess requests are shed with a
 // typed retryable error instead of queueing.
-func (d *Daemon) serve(conn *daemonConn) error {
+func (d *Daemon) serve(conn *daemonConn, rd *bufio.Reader) error {
 	workers := d.Workers
 	if workers <= 0 {
 		workers = DefaultWorkers
@@ -556,7 +560,7 @@ func (d *Daemon) serve(conn *daemonConn) error {
 				return connErr
 			})
 		}
-		f, _, err := wire.ReadFrame(conn)
+		f, _, err := wire.ReadFrame(rd)
 		arrival := time.Now()
 		if err != nil {
 			err = d.classifyRead(err)

@@ -221,6 +221,11 @@ func DecodeKey(data []byte) (drbg.NodeKey, []byte, error) {
 		return nil, nil, errors.New("wire: bad key length")
 	}
 	data = data[k:]
+	// Every component needs at least one byte; reject depths the data
+	// cannot back before allocating (DoS hardening, as in DecodeKeys).
+	if n > uint64(len(data)) {
+		return nil, nil, errors.New("wire: key length exceeds available bytes")
+	}
 	key := make(drbg.NodeKey, n)
 	for i := uint64(0); i < n; i++ {
 		v, k := binary.Uvarint(data)

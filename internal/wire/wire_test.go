@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/big"
+	"runtime"
 	"testing"
 	"time"
 
@@ -490,5 +491,32 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 		if _, _, err := ReadFrame(&buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecodeKeyBoundsAllocation: a declared key depth the data cannot
+// back is rejected before the key is allocated; allocating first would
+// let three bytes declaring depth 65536 cost 256 KiB per call.
+func TestDecodeKeyBoundsAllocation(t *testing.T) {
+	data := []byte{0x80, 0x80, 0x04} // uvarint 65536, no components
+	if _, _, err := DecodeKey(data); err == nil {
+		t.Fatal("key depth beyond the data accepted")
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		DecodeKey(data)
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 1024 {
+		t.Fatalf("DecodeKey allocated %d B per call for a 3-byte input", perCall)
+	}
+	// A key whose components are all present still decodes.
+	key := drbg.NodeKey{3, 1, 4, 1, 5}
+	got, rest, err := DecodeKey(AppendKey(nil, key))
+	if err != nil || got.String() != key.String() || len(rest) != 0 {
+		t.Fatalf("round trip: got %v rest %d err %v", got, len(rest), err)
 	}
 }
